@@ -20,9 +20,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import momentum
 from .errors import (CscflagError, InternalInconsistency, InvalidLieType,
-                     NonPositiveClass, NotSemiNegative, SchemaError, ZeroWeight)
+                     NonPositiveClass, NotSemiNegative, SchemaError,
+                     StepTooLarge, ZeroWeight)
 from .flag import build_flag, classify_bundle_weight, curvature_coeffs, \
     kahler_coeffs, ke_coeffs
 from .invariants import classify_invariant_fields, ddc_applicable
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_WEIGHT_DOMAIN = 3
 EXIT_INTERNAL = 4
+EXIT_ORACLE = 5
 
 
 @dataclass(frozen=True)
@@ -284,8 +288,8 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
         oracle_max = min(o.tau_max, Fraction(10))
     taus, phis = momentum.numeric_oracle(qtilde, p, spec.scalar_curvature,
                                          oracle_max, o.oracle_step)
-    phi = profile.phi
-    deviation = max(abs(ph - phi.eval_float(t)) for t, ph in zip(taus, phis))
+    deviation = float(np.max(np.abs(
+        np.array(phis) - profile.phi.eval_float(np.array(taus)))))
 
     smooth_search = None
     if o.find_smooth_c is not None:
@@ -489,6 +493,9 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except StepTooLarge as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
     except (CscflagError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

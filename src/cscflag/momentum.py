@@ -9,11 +9,13 @@ Numeric output (fiber maps, the RK4 oracle) is binary64.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import poly
@@ -309,40 +311,58 @@ def numeric_oracle(qtilde: Polynomial, p: Polynomial, c, tau_max, step,
     """Independent check of solve_profile: classical RK4 on u'' = P - C*Q
     with u(0) = 0, u'(0) = Q(0), in binary64; returns (taus, phi samples).
 
-    The local error per step is estimated by step doubling on u'; if it
-    exceeds error_bound, StepTooLarge is raised."""
+    The local error per step is estimated by step doubling on u and u';
+    if it exceeds error_bound * max(1, |u|, |u'|), StepTooLarge is raised.
+    The bound is relative because u = Phi grows like tau**(n+1).
+
+    The forcing does not depend on u, so it is evaluated once per abscissa
+    array; only the recurrence runs step by step. Every float is the one a
+    step-by-step evaluation would give: abscissae accumulate by repeated
+    t + h and the forcing is P(x) - C*Q(x)."""
     c = float(Fraction(c))
     tau_max = float(Fraction(tau_max))
     h = float(Fraction(step))
     if h <= 0 or tau_max <= 0:
         raise ValueError("step and tau_max must be positive")
 
-    def g(x: float) -> float:
-        return p.eval_float(x) - c * qtilde.eval_float(x)
+    def g(x: np.ndarray) -> list[float]:
+        return (p.eval_float(x) - c * qtilde.eval_float(x)).tolist()
 
-    def rk4_step(t: float, u: float, v: float, h: float) -> tuple[float, float]:
-        k1u, k1v = v, g(t)
-        k2u, k2v = v + h / 2 * k1v, g(t + h / 2)
-        k3u, k3v = v + h / 2 * k2v, g(t + h / 2)
-        k4u, k4v = v + h * k3v, g(t + h)
+    def rk4_step(u: float, v: float, h: float, g0: float, g_mid: float,
+                 g1: float) -> tuple[float, float]:
+        # g0, g_mid, g1: forcing at t, t + h/2 and t + h
+        k1u, k1v = v, g0
+        k2u, k2v = v + h / 2 * k1v, g_mid
+        k3u, k3v = v + h / 2 * k2v, g_mid
+        k4u, k4v = v + h * k3v, g1
         return (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
                 v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
     steps = max(int(math.ceil(tau_max / h - 1e-12)), 1)
     h = tau_max / steps
-    t, u, v = 0.0, 0.0, qtilde.eval_float(0.0)
-    taus, phis = [0.0], [0.0]
-    for _ in range(steps):
-        u1, v1 = rk4_step(t, u, v, h)
-        ua, va = rk4_step(t, u, v, h / 2)
-        u2, v2 = rk4_step(t + h / 2, ua, va, h / 2)
-        if abs(u1 - u2) > error_bound or abs(v1 - v2) > error_bound:
+    taus = list(itertools.accumulate(itertools.repeat(h, steps), initial=0.0))
+    grid = np.array(taus)
+    t = grid[:-1]
+    mid = t + h / 2
+    # t + h is exactly the next grid point, so the full step's end reuses it
+    g_grid = g(grid)
+    g_t, g_end = g_grid[:-1], g_grid[1:]
+    g_mid, g_q1 = g(mid), g(t + h / 4)
+    g_q3, g_mid_end = g(mid + h / 4), g(mid + h / 2)
+    u, v = 0.0, qtilde.eval_float(0.0)
+    us = []
+    for i in range(steps):
+        u1, v1 = rk4_step(u, v, h, g_t[i], g_mid[i], g_end[i])
+        ua, va = rk4_step(u, v, h / 2, g_t[i], g_q1[i], g_mid[i])
+        u2, v2 = rk4_step(ua, va, h / 2, g_mid[i], g_q3[i], g_mid_end[i])
+        bound = error_bound * max(1.0, abs(u1), abs(v1))
+        if abs(u1 - u2) > bound or abs(v1 - v2) > bound:
             raise StepTooLarge(
                 f"local error estimate {max(abs(u1 - u2), abs(v1 - v2)):.3e} "
-                f"exceeds {error_bound:.3e} at tau = {t:.6g}")
-        t, u, v = t + h, u1, v1
-        taus.append(t)
-        phis.append(u / qtilde.eval_float(t))
+                f"exceeds {bound:.3e} at tau = {taus[i]:.6g}")
+        u, v = u1, v1
+        us.append(u)
+    phis = [0.0] + (np.array(us) / qtilde.eval_float(grid[1:])).tolist()
     return taus, phis
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cscflag import SchemaError
-from cscflag.cli import (EXIT_CONFIG, EXIT_OK, EXIT_WEIGHT_DOMAIN, emit, main,
-                         parse_config, run)
+from cscflag.cli import (EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_WEIGHT_DOMAIN,
+                         emit, main, parse_config, run)
 
 F = Fraction
 
@@ -226,6 +226,27 @@ class TestMain:
 
     def test_nonpositive_kappa_exit_2(self, tmp_path, capsys):
         assert main([self.write(tmp_path, o1_job(kappa=[0]))]) == EXIT_CONFIG
+
+    def test_oracle_failure_exit_5(self, tmp_path, capsys):
+        # one RK4 step of length 10 on a degree-4 forcing
+        job = a2_job(lie_type="B2", options={"oracle_step": 10})
+        assert main([self.write(tmp_path, job)]) == EXIT_ORACLE
+        assert "oracle error: local error estimate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lie_type,pi_prime,lam,kappa,c", [
+        ("B3", [], [-1, -1, -1], [1, 1, 1], 1),
+        ("A4", [], [-1, -1, -1, -1], [1, 1, 1, 1], 1),
+        ("F4", [], [-1, -1, -1, -1], [1, 1, 1, 1], 0),
+        ("E6", [2, 3, 4, 5, 6], [-1], [1], 1),
+        ("D4", [], [-4, -4, -4, -1], ["3/2", 3, "3/2", 2], 1),
+    ])
+    def test_rank_3_and_up_jobs_pass_the_oracle(self, tmp_path, lie_type,
+                                                pi_prime, lam, kappa, c):
+        job = {"lie_type": lie_type, "pi_prime": pi_prime, "lambda": lam,
+               "kappa": kappa, "scalar_curvature": c}
+        out = tmp_path / "report.json"
+        assert main([self.write(tmp_path, job), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["oracle"]["max_abs_deviation"] < 1e-9
 
     def test_batch_output_is_array(self, tmp_path, capfd):
         path = self.write(tmp_path, [o1_job(), a2_job()])

@@ -5,7 +5,7 @@ import pytest
 
 from cscflag import (ConeAngleData, ConicalExpansion, GridOutOfInterval,
                      HyperbolicData, InvalidRange, NotSemiNegative, Polynomial,
-                     WrongCase, asymptotics, build_flag, build_profile_inputs,
+                     StepTooLarge, WrongCase, asymptotics, build_flag, build_profile_inputs,
                      build_root_system, classify_behavior, cone_angle_data,
                      conical_expansion, fiber_maps, find_smooth_C,
                      hyperbolic_data, metric_index, momentum_interval,
@@ -290,6 +290,70 @@ class TestNumericOracle:
         qtilde, p, _ = build_profile_inputs(*o_minus(1))
         with pytest.raises(ValueError):
             numeric_oracle(qtilde, p, 0, 2, 0)
+
+    @pytest.mark.parametrize("lie_type,pi_prime,lam,kappa,c,tau_max,step", [
+        ("A2", (), [-1, -1], [1, 1], 0, 1, F(1, 1000)),
+        ("A2", (), [-1, -1], [1, 1], 0, 1, F(3, 1000)),
+        ("B2", (), [-2, -1], [1, 2], F(-1, 2), 5, F(1, 1000)),
+        ("B2", (), [-2, -1], [1, 2], F(-1, 2), 5, F(7, 1000)),
+        ("G2", (1,), [-1], [1], 1, 10, F(1, 1000)),
+        ("G2", (1,), [-1], [1], 1, F(29, 3), F(1, 300)),
+    ])
+    def test_matches_scalar_reference(self, lie_type, pi_prime, lam, kappa,
+                                      c, tau_max, step):
+        qtilde, p, _ = build_profile_inputs(fv_of(lie_type, pi_prime), lam,
+                                            kappa)
+        taus, phis = numeric_oracle(qtilde, p, c, tau_max, step)
+        ref_taus, ref_phis = _reference_oracle(qtilde, p, c, tau_max, step)
+        assert taus == ref_taus
+        assert phis == ref_phis
+
+    def test_coarse_step_on_high_degree_forcing_raises(self):
+        qtilde, p = Polynomial([1]), Polynomial([0] * 8 + [1])  # u'' = tau^8
+        with pytest.raises(StepTooLarge, match="exceeds .* at tau = 0"):
+            numeric_oracle(qtilde, p, 0, 4, 2)
+        taus, phis = numeric_oracle(qtilde, p, 0, 4, F(1, 100))
+        assert phis[-1] == pytest.approx(4 + 4 ** 10 / 90, rel=1e-9)
+
+    def test_bound_scales_with_the_state(self):
+        # Scaling Q and P by 10^8 scales u and its step-doubling error
+        # alike; an absolute bound of 1e-6 would reject the scaled system.
+        scaled = Polynomial([10 ** 8]), Polynomial([0] * 8 + [10 ** 8])
+        taus, phis = numeric_oracle(*scaled, 0, 4, F(1, 100))
+        assert phis[-1] == pytest.approx(4 + 4 ** 10 / 90, rel=1e-9)
+
+
+def _reference_oracle(qtilde, p, c, tau_max, step, error_bound=1e-6):
+    """Scalar RK4 loop, one forcing evaluation per stage: the reference
+    that numeric_oracle must reproduce float for float."""
+    c = float(Fraction(c))
+    tau_max = float(Fraction(tau_max))
+    h = float(Fraction(step))
+
+    def g(x):
+        return p.eval_float(x) - c * qtilde.eval_float(x)
+
+    def rk4_step(t, u, v, h):
+        k1u, k1v = v, g(t)
+        k2u, k2v = v + h / 2 * k1v, g(t + h / 2)
+        k3u, k3v = v + h / 2 * k2v, g(t + h / 2)
+        k4u, k4v = v + h * k3v, g(t + h)
+        return (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
+                v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+    steps = max(int(math.ceil(tau_max / h - 1e-12)), 1)
+    h = tau_max / steps
+    t, u, v = 0.0, 0.0, qtilde.eval_float(0.0)
+    taus, phis = [0.0], [0.0]
+    for _ in range(steps):
+        u1, v1 = rk4_step(t, u, v, h)
+        ua, va = rk4_step(t, u, v, h / 2)
+        u2, v2 = rk4_step(t + h / 2, ua, va, h / 2)
+        assert abs(u1 - u2) <= error_bound and abs(v1 - v2) <= error_bound
+        t, u, v = t + h, u1, v1
+        taus.append(t)
+        phis.append(u / qtilde.eval_float(t))
+    return taus, phis
 
 
 class TestSmoothSearch:

@@ -10,14 +10,15 @@ O(-1) over the projective line.
 from fractions import Fraction
 
 from cscflag import (Polynomial, build_flag, build_root_system,
-                     cone_angle_data, find_smooth_C, parse_lie_type,
+                     classify_behavior, find_smooth_C, parse_lie_type,
                      solve_profile)
 
 profile = solve_profile(Polynomial([1, 1]), Polynomial([2]), 2)
-data = cone_angle_data(profile)
-print(f"b enclosed in [{float(data.b_lo):.15f}, {float(data.b_hi):.15f}]")
-print(f"phi'(b) = {-data.angle_factor:.12f}  (exact target: -2/(1+sqrt(3)))")
-print(f"smooth completion: {data.smooth_completion}")
+report = classify_behavior(profile)
+b = report.interval
+print(f"b enclosed in [{float(b.lo):.15f}, {float(b.hi):.15f}]")
+print(f"phi'(b) = {-report.cone_angle_factor:.12f}  (exact target: -2/(1+sqrt(3)))")
+print(f"smooth completion: {report.smooth_completion}")
 
 fv = build_flag(build_root_system(parse_lie_type("A1")), [])
 result = find_smooth_C(fv, [-1], [1], Fraction(1, 10), 20, samples=10)

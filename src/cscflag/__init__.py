@@ -17,12 +17,11 @@ from .flag import (BundleSign, FlagVariety, build_flag, bundle_weight_vector,
                    kahler_coeffs, ke_coeffs)
 from .invariants import (InvariantFieldClassification, classify_invariant_fields,
                          ddc_applicable)
-from .momentum import (BehaviorReport, ConeAngleData, ConicalExpansion,
-                       HyperbolicData, Interval, MomentumProfile,
-                       asymptotics, build_profile_inputs, classify_behavior,
-                       cone_angle_data, conical_expansion, fiber_maps,
-                       find_smooth_C, hyperbolic_data, metric_index,
-                       momentum_interval, numeric_oracle, solve_profile)
+from .momentum import (BehaviorReport, ConicalExpansion, Interval,
+                       MomentumProfile, asymptotics, build_profile_inputs,
+                       classify_behavior, conical_expansion, fiber_maps,
+                       find_smooth_C, metric_index, momentum_interval,
+                       numeric_oracle, solve_profile)
 from .poly import Polynomial, RationalFunction
 from .rootsys import (Basis, LieTypeSpec, RootSystem, WeightVector,
                       build_root_system, convert, inner_product, is_positive_root,

@@ -146,14 +146,13 @@ def _parse_job(raw, path: str) -> JobSpec:
         raise SchemaError(f"{path}.lie_type", "expected a string")
     try:
         lt = parse_lie_type(raw["lie_type"])
-        rs = build_root_system(lt)
     except InvalidLieType as exc:
         raise SchemaError(f"{path}.lie_type", str(exc)) from None
     pi_prime = _int_list(raw["pi_prime"], f"{path}.pi_prime")
     for i in pi_prime:
-        if not (1 <= i <= rs.rank):
-            raise SchemaError(f"{path}.pi_prime", f"index {i} outside 1..{rs.rank}")
-    k = rs.rank - len(set(pi_prime))
+        if not (1 <= i <= lt.rank):
+            raise SchemaError(f"{path}.pi_prime", f"index {i} outside 1..{lt.rank}")
+    k = lt.rank - len(set(pi_prime))
     lam = _int_list(raw["lambda"], f"{path}.lambda")
     if len(lam) != k:
         raise SchemaError(f"{path}.lambda", f"expected {k} coefficients")
@@ -244,16 +243,17 @@ def _asymptotics_dict(data) -> dict:
             "improved_decay": data.improved_decay,
             "decay_order": data.decay_order,
         }
-    if isinstance(data, momentum.HyperbolicData):
+    if data.theorem_case == "negative_csc":
         return {
             "case": "hyperbolic",
-            "rate": data.rate,
+            "rate": data.hyperbolic_rate,
             "leading_coefficient": _frac_str(data.leading_coefficient),
         }
     return {
         "case": "cone_angle",
-        "b_enclosure": [_frac_str(data.b_lo), _frac_str(data.b_hi)],
-        "angle_factor": data.angle_factor,
+        "b_enclosure": [_frac_str(data.interval.lo),
+                        _frac_str(data.interval.hi)],
+        "angle_factor": data.cone_angle_factor,
         "smooth_completion": data.smooth_completion,
     }
 
@@ -270,13 +270,13 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
     kah = kahler_coeffs(fv, spec.kappa)
     ke = ke_coeffs(fv)
     inv = classify_invariant_fields(fv, spec.lam)
-    ddc_ok, ddc_reason = ddc_applicable(fv, spec.lam)
+    ddc_ok, ddc_reason = ddc_applicable(inv)
 
     qtilde, p, n = momentum.build_profile_inputs(fv, spec.lam, spec.kappa)
     profile = momentum.solve_profile(qtilde, p, spec.scalar_curvature)
-    interval = momentum.momentum_interval(profile, o.tolerance)
     behavior = momentum.classify_behavior(profile, o.tolerance)
-    asym = momentum.asymptotics(profile, width=o.tolerance)
+    interval = behavior.interval
+    asym = momentum.conical_expansion(profile) if profile.c == 0 else behavior
 
     strictly_negative = all(v < 0 for v in curv.values())
     index = momentum.metric_index(fv, spec.lam) if strictly_negative else None
@@ -311,7 +311,7 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
             hi = o.tau_max
             tau0 = o.tau0 if o.tau0 is not None else Fraction(1)
         grid = [hi * j / o.sample_count for j in range(1, o.sample_count + 1)]
-        rows = momentum.fiber_maps(profile, tau0, grid, width=o.tolerance)
+        rows = momentum.fiber_maps(profile, interval, tau0, grid)
         samples = [{"tau": r.tau, "phi": r.phi, "t": r.t, "s": r.s,
                     "f": r.f, "r": r.r} for r in rows]
 

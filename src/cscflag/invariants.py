@@ -68,9 +68,9 @@ def classify_invariant_fields(fv: FlagVariety, n: Sequence) -> InvariantFieldCla
     return InvariantFieldClassification("A", None, None, 1)
 
 
-def ddc_applicable(fv: FlagVariety, n: Sequence) -> tuple[bool, str]:
-    """Whether the invariant ddc-lemma applies to the bundle L_lambda."""
-    cls = classify_invariant_fields(fv, n)
+def ddc_applicable(cls: InvariantFieldClassification) -> tuple[bool, str]:
+    """Whether the invariant ddc-lemma applies to the bundle L_lambda whose
+    invariant fields ``cls`` classifies."""
     if cls.case == "A":
         return True, "only the fiber rotation field is invariant (case A)"
     l = cls.proportionality

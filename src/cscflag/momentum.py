@@ -95,11 +95,12 @@ def momentum_interval(profile: MomentumProfile,
         return Interval(finite=False)
     phi_poly = profile.phi_poly
     bound = poly.root_upper_bound(phi_poly)
-    count = poly.count_roots(phi_poly, Fraction(0), bound)
+    seq = poly.sturm_sequence(phi_poly)
+    count = poly.count_roots(phi_poly, Fraction(0), bound, seq)
     if count != 1:
         raise InternalInconsistency(
             f"expected exactly one positive root of Phi, Sturm count = {count}")
-    lo, hi = poly.isolate_unique_root(phi_poly, Fraction(0), bound, width)
+    lo, hi = poly.isolate_unique_root(phi_poly, Fraction(0), bound, width, seq)
     return Interval(finite=True, lo=lo, hi=hi)
 
 
@@ -115,6 +116,8 @@ class EndpointRow:
 
 @dataclass(frozen=True)
 class BehaviorReport:
+    """Classification of a profile with the data of its case; the single
+    source of the hyperbolic (C < 0) and cone-angle (C > 0) asymptotics."""
     theorem_case: str  # "scalar_flat" | "negative_csc" | "positive_csc"
     domain: str  # "whole_bundle" | "disk_bundle"
     interval: Interval
@@ -175,13 +178,13 @@ def classify_behavior(profile: MomentumProfile,
             leading_coefficient=lead)
     if profile.c < 0:
         lead = -profile.c / (n * n + n)
-        rate = math.sqrt(float(-4 * profile.c / (n * n + n)))
         far = EndpointRow(kind="infinite", growth_degree=2,
                           t_range_finite=True, distance_finite=False)
         return BehaviorReport(
             theorem_case="negative_csc", domain="disk_bundle",
             interval=interval, origin=origin, far_end=far,
-            hyperbolic_rate=rate, leading_coefficient=lead)
+            hyperbolic_rate=math.sqrt(float(4 * lead)),
+            leading_coefficient=lead)
     b = interval.midpoint
     slope = (profile.phi_poly.derivative()(b) / profile.qtilde(b))
     smooth = _phi_prime_at_b_is_minus_one(profile, interval)
@@ -219,50 +222,15 @@ def conical_expansion(profile: MomentumProfile, order: int = 8) -> ConicalExpans
         decay_order=(-2 * n + 2) if improved else -2)
 
 
-@dataclass(frozen=True)
-class HyperbolicData:
-    """C < 0 asymptotics along the fiber."""
-    rate: float  # alpha_{n,C} = sqrt(-4C/(n^2+n))
-    leading_coefficient: Fraction  # -C/(n^2+n), exact
-
-
-def hyperbolic_data(profile: MomentumProfile) -> HyperbolicData:
-    if profile.c >= 0:
-        raise WrongCase("hyperbolic asymptotics require C < 0")
-    n = profile.n
-    lead = -profile.c / (n * n + n)
-    return HyperbolicData(rate=math.sqrt(float(4 * lead)), leading_coefficient=lead)
-
-
-@dataclass(frozen=True)
-class ConeAngleData:
-    """C > 0 endpoint data at the divisor added at infinity."""
-    b_lo: Fraction
-    b_hi: Fraction
-    angle_factor: float  # a = -phi'(b)
-    smooth_completion: bool
-
-
-def cone_angle_data(profile: MomentumProfile,
-                    width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> ConeAngleData:
-    if profile.c <= 0:
-        raise WrongCase("cone-angle data requires C > 0")
-    interval = momentum_interval(profile, width)
-    b = interval.midpoint
-    slope = profile.phi_poly.derivative()(b) / profile.qtilde(b)
-    return ConeAngleData(b_lo=interval.lo, b_hi=interval.hi,
-                         angle_factor=float(-slope),
-                         smooth_completion=_phi_prime_at_b_is_minus_one(profile, interval))
-
-
 def asymptotics(profile: MomentumProfile, order: int = 8,
                 width: Fraction = DEFAULT_ENCLOSURE_WIDTH):
-    """Case-appropriate asymptotic data for a classified profile."""
+    """Case-appropriate asymptotic data: the conical expansion when C = 0,
+    else the BehaviorReport, which carries the hyperbolic rate and leading
+    coefficient (C < 0) or the b enclosure, cone-angle factor and smooth
+    completion flag (C > 0)."""
     if profile.c == 0:
         return conical_expansion(profile, order)
-    if profile.c < 0:
-        return hyperbolic_data(profile)
-    return cone_angle_data(profile, width)
+    return classify_behavior(profile, width)
 
 
 @dataclass(frozen=True)
@@ -275,12 +243,11 @@ class FiberSample:
     r: float  # fiber radius exp(t/2)
 
 
-def fiber_maps(profile: MomentumProfile, tau0, grid: Sequence,
-               rel_tol: float = 1e-10,
-               width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> list[FiberSample]:
+def fiber_maps(profile: MomentumProfile, interval: Interval, tau0,
+               grid: Sequence, rel_tol: float = 1e-10) -> list[FiberSample]:
     """Reconstruct the fiber data t, s, f from phi by adaptive quadrature:
-    t = int dx/phi, f = int x dx/phi, s = int dx/(2 sqrt(phi))."""
-    interval = momentum_interval(profile, width)
+    t = int dx/phi, f = int x dx/phi, s = int dx/(2 sqrt(phi)), on the
+    profile's certified ``interval`` (e.g. classify_behavior's)."""
     hi = math.inf if not interval.finite else float(interval.lo)
     tau0 = Fraction(tau0)
     if not (0 < tau0 and float(tau0) < hi):
@@ -386,9 +353,8 @@ def find_smooth_C(fv: FlagVariety, lam: Sequence, kappa: Sequence,
     qtilde, p, _ = build_profile_inputs(fv, lam, kappa)
 
     def g(c: Fraction) -> float:
-        profile = solve_profile(qtilde, p, c)
-        data = cone_angle_data(profile, width)
-        return 1.0 - data.angle_factor  # phi'(b) + 1
+        behavior = classify_behavior(solve_profile(qtilde, p, c), width)
+        return 1.0 - behavior.cone_angle_factor  # phi'(b) + 1
 
     grid = [c_lo + (c_hi - c_lo) * k / samples for k in range(samples + 1)]
     values = [(c, g(c)) for c in grid]

@@ -162,10 +162,13 @@ def root_upper_bound(p: Polynomial) -> Fraction:
 
 
 def isolate_unique_root(p: Polynomial, lo: Fraction, hi: Fraction,
-                        width: Fraction) -> tuple[Fraction, Fraction]:
+                        width: Fraction,
+                        seq: Sequence[Polynomial] | None = None
+                        ) -> tuple[Fraction, Fraction]:
     """Shrink (lo, hi] around the single root of ``p`` it contains, by
     Sturm-guided bisection, until hi - lo <= width."""
-    seq = sturm_sequence(p)
+    if seq is None:
+        seq = sturm_sequence(p)
     assert count_roots(p, lo, hi, seq) == 1
     while hi - lo > width:
         mid = (lo + hi) / 2

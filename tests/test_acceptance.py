@@ -17,7 +17,7 @@ import pytest
 
 from cscflag import (build_flag, build_root_system, build_profile_inputs,
                      classify_behavior, classify_invariant_fields,
-                     cone_angle_data, find_smooth_C, metric_index,
+                     find_smooth_C, metric_index,
                      momentum_interval, numeric_oracle, parse_lie_type,
                      solve_profile, with_gram_scaled)
 from cscflag.cli import emit, main, parse_config, run
@@ -200,16 +200,17 @@ def test_09_numeric_oracle(random_suite):
 
 def test_10_cone_data():
     profile = solve_profile(Polynomial([1, 1]), Polynomial([2]), 2)
-    data = cone_angle_data(profile)
+    data = classify_behavior(profile)
+    b = data.interval
     root3 = math.sqrt(3.0)
-    assert data.b_hi - data.b_lo <= F(1, 10 ** 12)
-    assert float(data.b_lo) - 1e-12 <= root3 <= float(data.b_hi) + 1e-12
-    assert abs(float(data.b_lo) - root3) < 1e-12
+    assert b.hi - b.lo <= F(1, 10 ** 12)
+    assert float(b.lo) - 1e-12 <= root3 <= float(b.hi) + 1e-12
+    assert abs(float(b.lo) - root3) < 1e-12
     slope_target = -2 / (1 + root3)
-    assert abs(-data.angle_factor - slope_target) < 1e-9
+    assert abs(-data.cone_angle_factor - slope_target) < 1e-9
     assert data.smooth_completion is False
-    print(f"PASS criterion 10: b in [{float(data.b_lo):.15f}, "
-          f"{float(data.b_hi):.15f}], phi'(b) = {-data.angle_factor:.12f}")
+    print(f"PASS criterion 10: b in [{float(b.lo):.15f}, "
+          f"{float(b.hi):.15f}], phi'(b) = {-data.cone_angle_factor:.12f}")
 
 
 def test_11_smoothness_elimination():

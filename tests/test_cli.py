@@ -1,9 +1,11 @@
+import inspect
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cscflag import SchemaError
+from cscflag import SchemaError, invariants, momentum, poly, rootsys
 from cscflag.cli import (EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_WEIGHT_DOMAIN,
                          emit, main, parse_config, run)
 
@@ -253,3 +255,35 @@ class TestMain:
         assert main([path]) == EXIT_OK
         docs = json.loads(capfd.readouterr().out)
         assert isinstance(docs, list) and len(docs) == 2
+
+    def test_positive_c_job_computes_each_object_once(self, tmp_path,
+                                                      monkeypatch):
+        # C > 0 with samples and no smooth completion: every stage that
+        # needs the certified interval runs, and no gcd root count adds a
+        # Sturm chain of its own
+        counted = (momentum.momentum_interval, poly.sturm_sequence,
+                   invariants.classify_invariant_fields,
+                   rootsys.build_root_system)
+        calls = {fn: 0 for fn in counted}
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrappers = {fn: counting(fn) for fn in counted}
+        for name, module in list(sys.modules.items()):
+            if name == "cscflag" or name.startswith("cscflag."):
+                for attr, value in list(vars(module).items()):
+                    if inspect.isfunction(value) and value in wrappers:
+                        monkeypatch.setattr(module, attr, wrappers[value])
+        job = a2_job(scalar_curvature="1/2", options={"emit_samples": True})
+        out = tmp_path / "report.json"
+        assert main([self.write(tmp_path, job), "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["behavior"]["smooth_completion"] is False
+        assert len(report["samples"]) == 16
+        assert {fn.__name__: n for fn, n in calls.items()} == {
+            "momentum_interval": 1, "sturm_sequence": 1,
+            "classify_invariant_fields": 1, "build_root_system": 1}

@@ -107,13 +107,14 @@ class TestScaling:
 
 class TestDdcPredicate:
     def test_case_a_applies(self):
-        ok, reason = ddc_applicable(fv_of("A2"), [-1, -2])
+        ok, reason = ddc_applicable(
+            classify_invariant_fields(fv_of("A2"), [-1, -2]))
         assert ok and "case A" in reason
 
     def test_case_b_negative_applies(self):
-        ok, reason = ddc_applicable(fv_of("A1"), [-1])
+        ok, reason = ddc_applicable(classify_invariant_fields(fv_of("A1"), [-1]))
         assert ok and "l > 0" in reason
 
     def test_case_b_positive_fails(self):
-        ok, reason = ddc_applicable(fv_of("A1"), [1])
+        ok, reason = ddc_applicable(classify_invariant_fields(fv_of("A1"), [1]))
         assert not ok and "requires l > 0" in reason

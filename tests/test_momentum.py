@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cscflag import (ConeAngleData, ConicalExpansion, GridOutOfInterval,
-                     HyperbolicData, InvalidRange, NotSemiNegative, Polynomial,
-                     StepTooLarge, WrongCase, asymptotics, build_flag, build_profile_inputs,
-                     build_root_system, classify_behavior, cone_angle_data,
-                     conical_expansion, fiber_maps, find_smooth_C,
-                     hyperbolic_data, metric_index, momentum_interval,
-                     numeric_oracle, parse_lie_type, solve_profile,
-                     with_gram_scaled)
+from cscflag import (BehaviorReport, ConicalExpansion, GridOutOfInterval,
+                     InvalidRange, NotSemiNegative, Polynomial, StepTooLarge,
+                     WrongCase, asymptotics, build_flag, build_profile_inputs,
+                     build_root_system, classify_behavior, conical_expansion,
+                     fiber_maps, find_smooth_C, metric_index,
+                     momentum_interval, numeric_oracle, parse_lie_type,
+                     solve_profile, with_gram_scaled)
 
 F = Fraction
 
@@ -195,42 +194,38 @@ class TestAsymptotics:
 
     def test_hyperbolic(self):
         qtilde, p, _ = build_profile_inputs(*o_minus(1))
-        data = hyperbolic_data(solve_profile(qtilde, p, F(-1, 2)))
-        assert isinstance(data, HyperbolicData)
+        data = asymptotics(solve_profile(qtilde, p, F(-1, 2)))
+        assert isinstance(data, BehaviorReport)
         assert data.leading_coefficient == F(1, 12)
-        assert data.rate == pytest.approx(math.sqrt(F(1, 3)))
+        assert data.hyperbolic_rate == math.sqrt(float(4 * F(1, 12)))
+        assert data.hyperbolic_rate == pytest.approx(math.sqrt(F(1, 3)))
 
     def test_cone_angle(self):
-        data = cone_angle_data(
+        data = asymptotics(
             solve_profile(Polynomial([1, 1]), Polynomial([2]), 2))
-        assert isinstance(data, ConeAngleData)
-        assert abs(float(data.b_lo) - 3 ** 0.5) < 1e-12
-        assert data.angle_factor == pytest.approx(2 / (1 + 3 ** 0.5), abs=1e-9)
+        assert isinstance(data, BehaviorReport)
+        assert abs(float(data.interval.lo) - 3 ** 0.5) < 1e-12
+        assert data.cone_angle_factor == pytest.approx(
+            2 / (1 + 3 ** 0.5), abs=1e-9)
         assert data.smooth_completion is False
 
     def test_smooth_completion_exact_case(self):
         # Qtilde = 1, P = 0, C = 2: Phi = tau - tau^2, phi'(1) = -1 exactly
         profile = solve_profile(Polynomial([1]), Polynomial([0]), 2)
-        data = cone_angle_data(profile)
+        data = classify_behavior(profile)
         assert data.smooth_completion is True
-        assert data.angle_factor == pytest.approx(1.0, abs=1e-12)
+        assert data.cone_angle_factor == pytest.approx(1.0, abs=1e-12)
 
     def test_dispatch(self):
         qtilde, p, _ = build_profile_inputs(*o_minus(1))
         assert isinstance(asymptotics(solve_profile(qtilde, p, 0)),
                           ConicalExpansion)
-        assert isinstance(asymptotics(solve_profile(qtilde, p, -1)),
-                          HyperbolicData)
-        assert isinstance(asymptotics(solve_profile(qtilde, p, 1)),
-                          ConeAngleData)
+        for c in (-1, 1):
+            profile = solve_profile(qtilde, p, c)
+            assert asymptotics(profile) == classify_behavior(profile)
 
     def test_wrong_case(self):
         qtilde, p, _ = build_profile_inputs(*o_minus(1))
-        flat = solve_profile(qtilde, p, 0)
-        with pytest.raises(WrongCase):
-            hyperbolic_data(flat)
-        with pytest.raises(WrongCase):
-            cone_angle_data(flat)
         with pytest.raises(WrongCase):
             conical_expansion(solve_profile(qtilde, p, 1))
 
@@ -240,7 +235,8 @@ class TestFiberMaps:
         # phi = tau: t = log tau, s = sqrt(tau) - 1, f = tau - 1 (from tau0=1)
         qtilde, p, _ = build_profile_inputs(*o_minus(1))
         profile = solve_profile(qtilde, p, 0)
-        rows = fiber_maps(profile, 1, [F(1, 2), 1, 2, 4])
+        rows = fiber_maps(profile, momentum_interval(profile), 1,
+                          [F(1, 2), 1, 2, 4])
         for row in rows:
             assert row.t == pytest.approx(math.log(row.tau), abs=1e-9)
             assert row.s == pytest.approx(math.sqrt(row.tau) - 1, abs=1e-9)
@@ -250,18 +246,20 @@ class TestFiberMaps:
 
     def test_anchor(self):
         qtilde, p, _ = build_profile_inputs(*o_minus(2))
-        rows = fiber_maps(solve_profile(qtilde, p, 0), 2, [2])
+        profile = solve_profile(qtilde, p, 0)
+        rows = fiber_maps(profile, momentum_interval(profile), 2, [2])
         assert rows[0].t == 0 and rows[0].s == 0 and rows[0].f == 0
         assert rows[0].r == 1
 
     def test_grid_validation(self):
         profile = solve_profile(Polynomial([1, 1]), Polynomial([2]), 2)
+        interval = momentum_interval(profile)
         with pytest.raises(GridOutOfInterval):
-            fiber_maps(profile, 1, [10])  # beyond b = sqrt(3)
+            fiber_maps(profile, interval, 1, [10])  # beyond b = sqrt(3)
         with pytest.raises(GridOutOfInterval):
-            fiber_maps(profile, 5, [1])  # tau0 outside
+            fiber_maps(profile, interval, 5, [1])  # tau0 outside
         with pytest.raises(GridOutOfInterval):
-            fiber_maps(profile, 1, [0])  # boundary excluded
+            fiber_maps(profile, interval, 1, [0])  # boundary excluded
 
 
 class TestNumericOracle:

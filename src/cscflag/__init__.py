@@ -2,7 +2,7 @@
 homogeneous line bundles over generalized flag varieties.
 
 The pipeline: build a root system, fix a parabolic subset to get the flag
-variety, pick a (semi-)negative bundle weight and a Kahler class, then
+variety, pick a negative bundle weight and a Kahler class, then
 solve the momentum-construction ODE exactly and classify the resulting
 metric (scalar-flat / negative / positive constant scalar curvature) with
 its asymptotics.

@@ -32,7 +32,7 @@ from .invariants import classify_invariant_fields, ddc_applicable
 from .rootsys import Basis, WeightVector, build_root_system, convert, \
     parse_lie_type
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,7 +139,8 @@ def _parse_job(raw, path: str) -> JobSpec:
     unknown = raw.keys() - required - {"options", "schema_version"}
     if unknown:
         raise SchemaError(path, f"unknown fields: {sorted(unknown)}")
-    if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+    # the job schema is the same in v1 and v2; only the report changed
+    if raw.get("schema_version", SCHEMA_VERSION) not in (1, SCHEMA_VERSION):
         raise SchemaError(f"{path}.schema_version",
                           f"unsupported version {raw['schema_version']}")
     if not isinstance(raw["lie_type"], str):
@@ -278,9 +279,6 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
     interval = behavior.interval
     asym = momentum.conical_expansion(profile) if profile.c == 0 else behavior
 
-    strictly_negative = all(v < 0 for v in curv.values())
-    index = momentum.metric_index(fv, spec.lam) if strictly_negative else None
-
     # independent numeric cross-check of the closed-form profile
     if interval.finite:
         oracle_max = min(o.tau_max, interval.lo * Fraction(9, 10))
@@ -371,7 +369,7 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
             "cone_angle_factor": behavior.cone_angle_factor,
             "smooth_completion": behavior.smooth_completion,
         },
-        "metric_index": None if index is None else _frac_str(index),
+        "metric_index": _frac_str(momentum.metric_index(fv, spec.lam)),
         "asymptotics": _asymptotics_dict(asym),
         "oracle": {
             "step": float(o.oracle_step),

@@ -26,7 +26,7 @@ class NonPositiveClass(CscflagError):
 
 
 class NotSemiNegative(CscflagError):
-    """Momentum construction requires a semi-negative bundle weight."""
+    """Momentum construction requires a strictly negative bundle weight."""
 
 
 class InternalInconsistency(CscflagError):
@@ -42,7 +42,7 @@ class GridOutOfInterval(CscflagError):
 
 
 class StepTooLarge(CscflagError):
-    """Local error estimate of the numeric integrator exceeds its bound."""
+    """Error estimate of the RK4 oracle or the fiber-map quadrature exceeds its bound."""
 
 
 class InvalidRange(CscflagError):

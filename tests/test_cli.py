@@ -1,7 +1,10 @@
 import inspect
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +80,12 @@ class TestParseConfig:
             parse_config(json.dumps(job))
         assert path_part in str(err.value)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_job_schema_versions(self, version):
+        # jobs are the same in v1 and v2; only the report changed
+        jobs, _ = parse_config(json.dumps(o1_job(schema_version=version)))
+        assert jobs[0].lie_type == "A1"
+
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             parse_config("{not json")
@@ -95,7 +104,7 @@ class TestParseConfig:
 class TestRun:
     def test_o1_report(self):
         report = run(job_of(o1_job()))
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["flag"]["n"] == 2 and report["flag"]["dim_X"] == 1
         assert report["profile"]["qtilde"] == ["1", "1"]
         assert report["profile"]["p"] == ["2"]
@@ -127,13 +136,6 @@ class TestRun:
         lo = F(report["interval"]["lo"])
         hi = F(report["interval"]["hi"])
         assert hi - lo <= F(1, 10 ** 12)
-
-    def test_semi_negative_has_no_index(self):
-        job = {"lie_type": "A3", "pi_prime": [1], "lambda": [-1, 0],
-               "kappa": [1, 1], "scalar_curvature": 0}
-        report = run(job_of(job))
-        assert report["bundle"]["classification"] == "semi_negative"
-        assert report["metric_index"] is None
 
     def test_samples(self):
         spec = job_of(o1_job(options={
@@ -207,7 +209,7 @@ class TestMain:
         out = tmp_path / "report.json"
         code = main([self.write(tmp_path, o1_job()), "--out", str(out)])
         assert code == EXIT_OK
-        assert json.loads(out.read_text())["schema_version"] == 1
+        assert json.loads(out.read_text())["schema_version"] == 2
 
     def test_config_error(self, tmp_path, capsys):
         path = self.write(tmp_path, o1_job(lie_type="H2"))
@@ -221,6 +223,18 @@ class TestMain:
         job = a2_job(**{"lambda": [1, 1]})
         assert main([self.write(tmp_path, job)]) == EXIT_WEIGHT_DOMAIN
         assert "weight domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lie_type,pi_prime,c", [
+        ("A1xA1", [], -1), ("A1xA1", [], 0), ("A1xA1", [], 1), ("A3", [1], 0),
+    ], ids=["A1xA1-neg", "A1xA1-zero", "A1xA1-pos", "A3-zero"])
+    def test_semi_negative_weight_exit_3(self, tmp_path, capsys, lie_type,
+                                         pi_prime, c):
+        # (lambda, alpha) = 0 for some alpha in D+: the momentum
+        # construction needs a strictly negative weight
+        job = {"lie_type": lie_type, "pi_prime": pi_prime, "lambda": [-1, 0],
+               "kappa": [1, 1], "scalar_curvature": c}
+        assert main([self.write(tmp_path, job)]) == EXIT_WEIGHT_DOMAIN
+        assert "strictly negative" in capsys.readouterr().err
 
     def test_zero_weight_exit_3(self, tmp_path, capsys):
         assert main([self.write(tmp_path, o1_job(**{"lambda": [0]}))]) \
@@ -249,6 +263,15 @@ class TestMain:
         out = tmp_path / "report.json"
         assert main([self.write(tmp_path, job), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["oracle"]["max_abs_deviation"] < 1e-9
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency
+        code = "import sys, cscflag.cli; print('scipy' in sys.modules)"
+        src = str(Path(inspect.getfile(momentum)).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_batch_output_is_array(self, tmp_path, capfd):
         path = self.write(tmp_path, [o1_job(), a2_job()])

@@ -40,6 +40,8 @@ class TestProfileInputs:
     def test_rejects_positive_direction(self):
         with pytest.raises(NotSemiNegative):
             build_profile_inputs(fv_of("A2"), [1, -1], [1, 1])
+        with pytest.raises(NotSemiNegative):  # (lambda, alpha) = 0
+            build_profile_inputs(fv_of("A1xA1"), [-1, 0], [1, 1])
 
     def test_degrees(self):
         qtilde, p, n = build_profile_inputs(fv_of("A3", [1]), [-1, -2],
@@ -113,7 +115,7 @@ class TestMetricIndex:
     def test_requires_strict_negativity(self):
         with pytest.raises(NotSemiNegative):
             metric_index(fv_of("A2"), [1, 1])
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(NotSemiNegative):
             metric_index(fv_of("A3", [1]), [-1, 0])
 
     def test_matches_leading_coefficient(self):
@@ -247,9 +249,83 @@ class TestFiberMaps:
     def test_anchor(self):
         qtilde, p, _ = build_profile_inputs(*o_minus(2))
         profile = solve_profile(qtilde, p, 0)
-        rows = fiber_maps(profile, momentum_interval(profile), 2, [2])
-        assert rows[0].t == 0 and rows[0].s == 0 and rows[0].f == 0
-        assert rows[0].r == 1
+        rows = fiber_maps(profile, momentum_interval(profile), 2, [1, 2, 3])
+        anchor = rows[1]
+        # +0.0, not -0.0, which would print as -0 in the report
+        for value in (anchor.t, anchor.s, anchor.f):
+            assert value == 0 and math.copysign(1.0, value) == 1.0
+        assert anchor.r == 1
+
+    def test_below_anchor_is_negative_and_increasing(self):
+        qtilde, p, _ = build_profile_inputs(fv_of("G2"), [-1, -2], [1, 1])
+        profile = solve_profile(qtilde, p, -1)
+        grid = [F(k, 8) for k in range(1, 9)]
+        rows = fiber_maps(profile, momentum_interval(profile), 2, grid)
+        for key in ("t", "s", "f"):
+            values = [getattr(row, key) for row in rows]
+            assert all(v < 0 for v in values)
+            assert values == sorted(values) and len(set(values)) == len(values)
+
+    def test_node_cap(self):
+        qtilde, p, _ = build_profile_inputs(fv_of("A2"), [-1, -1], [1, 1])
+        profile = solve_profile(qtilde, p, 0)
+        with pytest.raises(StepTooLarge, match=r"256 nodes on \[1, 2\]"):
+            fiber_maps(profile, momentum_interval(profile), 1, [2], rel_tol=0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_phi_overflow_fails(self):
+        # A1 at C = -1: phi.eval_float is inf above about 1.1e103, so the
+        # gap sums there are 0 and never agree to a relative tolerance
+        profile = solve_profile(*build_profile_inputs(*o_minus(1))[:2], -1)
+        interval = momentum_interval(profile)
+        assert fiber_maps(profile, interval, 1, [10 ** 103])[0].t > 0
+        with pytest.raises(StepTooLarge, match="256 nodes"):
+            fiber_maps(profile, interval, 1, [10 ** 104])
+
+    @pytest.mark.parametrize("lie_type,pi_prime,c,tau0,tau_max", [
+        ("A1", [], -1, None, 10), ("A1", [], 0, None, 10),
+        ("A2", [], 0, None, 10), ("A2", [], F(1, 2), None, 10),
+        ("B2", [1], 1, None, 10), ("G2", [], 2, None, 10),
+        ("E6", [], 1, None, 10),
+        # gaps reaching the singularities of the integrands at 0 and b
+        ("A2", [], 0, F(1, 10 ** 6), 10), ("A1", [], -1, None, 10 ** 6),
+        ("A2", [], F(1, 2), F(18995703, 10 ** 6), 10),  # b = 18.99570328...
+    ], ids=["A1-neg", "A1-zero", "A2-zero", "A2-pos", "B2-pos", "G2-pos",
+            "E6-pos", "tau0-near-0", "tau_max-1e6", "tau0-near-b"])
+    def test_matches_scipy_quad(self, lie_type, pi_prime, c, tau0, tau_max):
+        quad = pytest.importorskip("scipy.integrate").quad
+        fv = fv_of(lie_type, pi_prime)
+        k = len(fv.s_star_indices)
+        qtilde, p, _ = build_profile_inputs(fv, [-1] * k, [1] * k)
+        profile = solve_profile(qtilde, p, c)
+        interval = momentum_interval(profile)
+        if interval.finite:  # the CLI's sampling range and default tau0
+            hi = min(F(tau_max), interval.lo * F(9, 10))
+            tau0 = interval.lo / 2 if tau0 is None else tau0
+            assert tau0 < interval.lo
+        else:
+            hi, tau0 = F(tau_max), F(1) if tau0 is None else tau0
+        grid = [hi * j / 64 for j in range(1, 65)]
+        rel_tol = 1e-10
+        rows = fiber_maps(profile, interval, tau0, grid, rel_tol)
+        phi = profile.phi.eval_float
+        integrands = {"t": lambda u: 1 / phi(u),
+                      "s": lambda u: 0.5 / math.sqrt(phi(u)),
+                      "f": lambda u: u / phi(u)}
+        # unaided, quad misses rel_tol on gaps reaching toward 0 (it warns,
+        # and is off by 7e-4 relative at tau0 = 1e-6), so give it break
+        # points at decades toward 0 and toward b
+        b = float(interval.lo) if interval.finite else math.inf
+        breaks = [10.0 ** e for e in range(-9, 9)] + \
+            [b - 10.0 ** e for e in range(-12, 3)]
+        for row in rows:
+            lo, up = sorted((float(tau0), row.tau))
+            points = [x for x in breaks if lo < x < up] or None
+            for key, integrand in integrands.items():
+                want, _ = quad(integrand, lo, up, points=points, epsabs=0.0,
+                               epsrel=rel_tol, limit=500)
+                want = want if row.tau >= tau0 else -want
+                assert math.isclose(getattr(row, key), want, rel_tol=rel_tol)
 
     def test_grid_validation(self):
         profile = solve_profile(Polynomial([1, 1]), Polynomial([2]), 2)

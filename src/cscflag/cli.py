@@ -97,6 +97,8 @@ def _parse_options(raw, path: str) -> JobOptions:
     kw = {}
     if "tolerance" in raw:
         kw["tolerance"] = _rational(raw["tolerance"], f"{path}.tolerance")
+        if kw["tolerance"] <= 0:
+            raise SchemaError(f"{path}.tolerance", "must be positive")
     if "sample_count" in raw:
         sc = raw["sample_count"]
         if not isinstance(sc, int) or isinstance(sc, bool):

@@ -9,13 +9,14 @@ complement of Pi'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, NonPositiveClass, ZeroWeight
-from .rootsys import (Basis, RootSystem, WeightVector, inner_product)
+from .rootsys import Basis, RootSystem, WeightVector
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,18 @@ class BundleSign(Enum):
 
 
 def _pairings(fv: FlagVariety, v: WeightVector) -> dict[tuple[int, ...], Fraction]:
-    return {root: inner_product(fv.rs, v, WeightVector.roots(root))
+    """(v, alpha) for alpha in D+, each one integer dot product with the
+    row g_j = (v, alpha_j): (omega_i, alpha_j) = delta_ij * gram[j][j]/2,
+    and a simple-root vector pairs through the Gram matrix once."""
+    gram = fv.rs.gram
+    if v.basis is Basis.FUNDAMENTAL_WEIGHT:
+        row = [c * gram[j][j] / 2 for j, c in enumerate(v.coords)]
+    else:
+        row = [sum(c * g[j] for c, g in zip(v.coords, gram))
+               for j in range(len(v.coords))]
+    den = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    return {root: Fraction(sum(a * b for a, b in zip(root, ints)), den)
             for root in fv.d_plus}
 
 

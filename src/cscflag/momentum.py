@@ -64,25 +64,57 @@ def _negative_curvature(fv: FlagVariety, lam: Sequence) -> dict:
     return curv
 
 
+def _primitive(a: Fraction, b: Fraction) -> tuple[Fraction, int, int]:
+    """(content, A, B) with a + b*tau = content * (A + B*tau), gcd(A, B) = 1."""
+    den = math.lcm(a.denominator, b.denominator)
+    big_a = a.numerator * (den // a.denominator)
+    big_b = b.numerator * (den // b.denominator)
+    g = math.gcd(big_a, big_b)
+    return Fraction(g, den), big_a // g, big_b // g
+
+
 def build_profile_inputs(fv: FlagVariety, lam: Sequence, kappa: Sequence
                          ) -> tuple[Polynomial, Polynomial, int]:
     """Exact Qtilde and P for the curvature ODE, plus n = dim_C L.
-    Raises NotSemiNegative unless lambda is strictly negative."""
+    Raises NotSemiNegative unless lambda is strictly negative.
+
+    Qtilde = prod over D+ of the factors kappa_alpha - lambda_alpha*tau and
+    P = sum (alpha, delta) * Qtilde / factor. Each factor is
+    content * (A + B*tau) with coprime positive integers A, B; the roots of
+    one pair (A, B) form a group g of m_g roots. The integer product
+    prod (A_g + B_g*tau)^m_g is one big integer, its value at tau = 2^k
+    (Kronecker substitution): its coefficients are nonnegative and sum to
+    prod (A_g + B_g)^m_g < 2^k, so they unpack with no carries. Each
+    quotient by A_g + B_g*tau comes from exact integer synthetic division
+    and enters P with weight w_g, the sum of (alpha, delta)/content."""
     curv = _negative_curvature(fv, lam)
     kah = kahler_coeffs(fv, kappa)
     ke = ke_coeffs(fv)
-    factors = {root: Polynomial([kah[root], -curv[root]]) for root in kah}
-    qtilde = Polynomial([1])
-    for f in factors.values():
-        qtilde = qtilde * f
-    p = Polynomial()
-    for root in factors:
-        term = Polynomial([ke[root]])
-        for other, f in factors.items():
-            if other != root:
-                term = term * f
-        p = p + term
-    return qtilde, p, fv.dim_X + 1
+    groups: dict[tuple[int, int], list] = {}  # (A, B) -> [m_g, w_g]
+    content = Fraction(1)
+    for root, k in kah.items():
+        c, big_a, big_b = _primitive(k, -curv[root])
+        content *= c
+        group = groups.setdefault((big_a, big_b), [0, Fraction(0)])
+        group[0] += 1
+        group[1] += ke[root] / c
+    bound = math.prod((a + b) ** m for (a, b), (m, _) in groups.items())
+    shift = bound.bit_length()
+    packed = math.prod((a + (b << shift)) ** m
+                       for (a, b), (m, _) in groups.items())
+    d = fv.dim_X
+    q = [packed >> (shift * i) & ((1 << shift) - 1) for i in range(d + 1)]
+    den = math.lcm(*(w.denominator for _, w in groups.values()))
+    p = [0] * d
+    for (a, b), (_, w) in groups.items():
+        weight = w.numerator * (den // w.denominator)
+        s = 0
+        for i in range(d, 0, -1):
+            s = (q[i] - a * s) // b  # coefficient i - 1 of q / (a + b*tau)
+            p[i - 1] += weight * s
+    scale = content / den
+    return (Polynomial([content * x for x in q]),
+            Polynomial([scale * x for x in p]), d + 1)
 
 
 def solve_profile(qtilde: Polynomial, p: Polynomial, c) -> MomentumProfile:

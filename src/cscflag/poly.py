@@ -166,11 +166,12 @@ def isolate_unique_root(p: Polynomial, lo: Fraction, hi: Fraction,
                         seq: Sequence[Polynomial] | None = None
                         ) -> tuple[Fraction, Fraction]:
     """Shrink (lo, hi] around the single root of ``p`` it contains, by
-    Sturm-guided bisection, until hi - lo <= width."""
+    Sturm-guided bisection, until hi - lo <= width and lo != 0: an
+    enclosure of a positive root ends with lo > 0, however wide ``width``."""
     if seq is None:
         seq = sturm_sequence(p)
     assert count_roots(p, lo, hi, seq) == 1
-    while hi - lo > width:
+    while hi - lo > width or lo == 0:
         mid = (lo + hi) / 2
         if count_roots(p, lo, mid, seq) == 1:
             hi = mid

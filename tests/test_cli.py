@@ -72,6 +72,8 @@ class TestParseConfig:
         (lambda j: j.update(kappa=["1/0"]), "kappa"),
         (lambda j: j.update(options={"unknown": 1}), "unknown"),
         (lambda j: j.update(schema_version=99), "schema_version"),
+        (lambda j: j.update(options={"tolerance": "0"}), "options.tolerance"),
+        (lambda j: j.update(options={"tolerance": "-1"}), "options.tolerance"),
     ])
     def test_schema_errors(self, mutate, path_part):
         job = o1_job()
@@ -264,6 +266,27 @@ class TestMain:
         assert main([self.write(tmp_path, job), "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["oracle"]["max_abs_deviation"] < 1e-9
 
+    def test_wide_tolerance_encloses_b_away_from_0(self, tmp_path, capfd):
+        # the bisection goes on past the width until lo > 0, so the oracle
+        # and the fiber maps get a range inside (0, b)
+        job = a2_job(scalar_curvature=1, options={"tolerance": "100"})
+        out = tmp_path / "report.json"
+        assert main([self.write(tmp_path, job), "--out", str(out)]) == EXIT_OK
+        assert capfd.readouterr().err == ""
+        interval = json.loads(out.read_text())["interval"]
+        assert 0 < F(interval["lo"]) < F(interval["hi"])
+
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_e8_full_flag(self, tmp_path, capfd, c):
+        job = {"lie_type": "E8", "pi_prime": [], "lambda": [-1] * 8,
+               "kappa": [1] * 8, "scalar_curvature": c}
+        out = tmp_path / "report.json"
+        assert main([self.write(tmp_path, job), "--out", str(out)]) == EXIT_OK
+        assert capfd.readouterr().err == ""
+        report = json.loads(out.read_text())
+        assert report["flag"]["n"] == 121
+        assert report["metric_index"] == "2/121"  # 2/(m+1), m = 120
+
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency
         code = "import sys, cscflag.cli; print('scipy' in sys.modules)"
@@ -283,10 +306,11 @@ class TestMain:
                                                       monkeypatch):
         # C > 0 with samples and no smooth completion: every stage that
         # needs the certified interval runs, and no gcd root count adds a
-        # Sturm chain of its own
+        # Sturm chain of its own; the weight pairings are dot products,
+        # not one inner_product per root
         counted = (momentum.momentum_interval, poly.sturm_sequence,
                    invariants.classify_invariant_fields,
-                   rootsys.build_root_system)
+                   rootsys.build_root_system, rootsys.inner_product)
         calls = {fn: 0 for fn in counted}
 
         def counting(fn):
@@ -309,4 +333,5 @@ class TestMain:
         assert len(report["samples"]) == 16
         assert {fn.__name__: n for fn, n in calls.items()} == {
             "momentum_interval": 1, "sturm_sequence": 1,
-            "classify_invariant_fields": 1, "build_root_system": 1}
+            "classify_invariant_fields": 1, "build_root_system": 1,
+            "inner_product": 0}

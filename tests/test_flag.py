@@ -6,7 +6,9 @@ import pytest
 from cscflag import (BundleSign, IndexOutOfRange, NonPositiveClass,
                      WeightVector, ZeroWeight, build_flag, build_root_system,
                      classify_bundle_weight, curvature_coeffs, inner_product,
-                     kahler_coeffs, ke_coeffs, parse_lie_type)
+                     kahler_coeffs, ke_coeffs, parse_lie_type,
+                     with_gram_scaled)
+from reference import coefficient_maps
 
 F = Fraction
 
@@ -145,3 +147,21 @@ class TestCoefficients:
 
     def test_curvature_on_p1(self):
         assert curvature_coeffs(fv_of("A1"), [-3])[(1,)] == -3
+
+    @pytest.mark.parametrize("lie_type,pi_prime,scale", [
+        ("A1", [], 1), ("A3", [2], 1), ("B3", [], 1), ("B4", [1, 3], 1),
+        ("C3", [], 1), ("D4", [], 1), ("D5", [2, 4], 1), ("G2", [], 1),
+        ("F4", [2], 1), ("E6", [1, 3], 1), ("E7", [7], 1), ("A2xA1", [], 1),
+        ("B3", [2], F(7, 3)), ("A1xG2xC2", [3], F(1, 2)),
+    ])
+    def test_maps_match_inner_product(self, lie_type, pi_prime, scale):
+        # the dot-product pairings against one inner_product per root
+        rs = build_root_system(parse_lie_type(lie_type))
+        fv = build_flag(rs if scale == 1 else with_gram_scaled(rs, scale),
+                        pi_prime)
+        rng = random.Random(lie_type)
+        k = len(fv.s_star_indices)
+        lam = [rng.choice([-3, -1, 1, 2]) for _ in range(k)]
+        kappa = [F(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(k)]
+        assert (curvature_coeffs(fv, lam), kahler_coeffs(fv, kappa),
+                ke_coeffs(fv)) == coefficient_maps(fv, lam, kappa)

@@ -10,6 +10,8 @@ from cscflag import (BehaviorReport, ConicalExpansion, GridOutOfInterval,
                      fiber_maps, find_smooth_C, metric_index,
                      momentum_interval, numeric_oracle, parse_lie_type,
                      solve_profile, with_gram_scaled)
+from reference import (coefficient_maps, per_root_profile_inputs,
+                       proportional_constants, proportional_profile)
 
 F = Fraction
 
@@ -47,6 +49,54 @@ class TestProfileInputs:
         qtilde, p, n = build_profile_inputs(fv_of("A3", [1]), [-1, -2],
                                             [F(1, 2), 3])
         assert qtilde.degree == n - 1 and p.degree == n - 2
+
+    @pytest.mark.parametrize("lie_type,pi_prime,lam,kappa,groups", [
+        # 1/3 + 4*tau = (1 + 12*tau)/3: 12 of the bound 13 < 2^4 in one
+        # coefficient, so a narrower packing would carry
+        ("A1", [], [-4], ["1/3"], "distinct"),
+        ("A3", [], [-1, -2, -4], [1, 5, 2], "distinct"),
+        ("A4", [2], [-1, -2, -1], [3, "1/2", 2], "repeat"),
+        ("B3", [], [-2, -1, -3], ["1/2", "2/3", "5/7"], "distinct"),
+        ("C3", [1], [-1, -1], [1, 1], "repeat"),
+        ("D4", [], [-1, -2, -1, -3], ["3/2", 1, "4/5", 2], "repeat"),
+        ("D5", [1, 3], [-2, -1, -1], ["1/3", 2, "7/2"], "repeat"),
+        ("G2", [], [-1, -2], ["1/2", "5/3"], "distinct"),
+        ("F4", [], [-1, -1, -1, -1], [1, 1, 1, 1], "repeat"),
+        ("F4", [2, 3], [-3, -1], ["2/5", "3/7"], "repeat"),
+        ("E6", [2, 3, 4, 5], [-1, -2], [1, "3/2"], "repeat"),
+        ("A2xA1", [], [-1, -2, -3], ["1/2", "1/3", "4/3"], "distinct"),
+        ("B2xA1", [2], [-2, -1], [1, "1/6"], "repeat"),
+    ])
+    def test_matches_per_root_product(self, lie_type, pi_prime, lam, kappa,
+                                      groups):
+        fv = fv_of(lie_type, pi_prime)
+        kappa = [F(x) for x in kappa]
+        curv, kah, _ = coefficient_maps(fv, lam, kappa)
+        pairs = {kah[r] / -curv[r] for r in fv.d_plus}  # factors up to scale
+        assert (len(pairs) == len(fv.d_plus)) == (groups == "distinct")
+        qtilde, p, n = build_profile_inputs(fv, lam, kappa)
+        assert (qtilde, p) == per_root_profile_inputs(fv, lam, kappa)
+        assert n == len(fv.d_plus) + 1
+
+
+class TestProportionalClosedForm:
+    """kappa = -c*lambda: every factor of Qtilde is a multiple of c + tau,
+    and the profile has the closed form of reference.proportional_profile."""
+
+    @pytest.mark.parametrize("lie_type,lam", [
+        ("E6", [-1] * 6), ("E6", [-1, -2, -1, -3, -1, -2]),
+        ("E7", [-1] * 7), ("E7", [-2, -1, -1, -3, -1, -1, -2]),
+        ("E8", [-1] * 8), ("E8", [-1, -1, -2, -1, -3, -1, -1, -2]),
+    ])
+    def test_full_flags(self, lie_type, lam):
+        fv = fv_of(lie_type)
+        constants = proportional_constants(fv, lam)
+        for c in (F(1, 2), F(1), F(2)):
+            qtilde, p, _ = build_profile_inputs(fv, lam, [-c * x for x in lam])
+            for curvature in (F(-1), F(0), F(1, 2)):
+                expected = proportional_profile(constants, c, curvature)
+                profile = solve_profile(qtilde, p, curvature)
+                assert (qtilde, profile.phi_poly) == expected
 
 
 class TestSolveProfile:

@@ -29,8 +29,7 @@ from .errors import (CscflagError, InternalInconsistency, InvalidLieType,
 from .flag import build_flag, classify_bundle_weight, curvature_coeffs, \
     kahler_coeffs, ke_coeffs
 from .invariants import classify_invariant_fields, ddc_applicable
-from .rootsys import Basis, WeightVector, build_root_system, convert, \
-    parse_lie_type
+from .rootsys import build_root_system, parse_lie_type
 
 SCHEMA_VERSION = 2
 
@@ -191,8 +190,10 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _weight_basis(rs, root) -> list[str]:
-    wv = convert(rs, WeightVector.roots(root), Basis.FUNDAMENTAL_WEIGHT)
-    return [_frac_str(c) for c in wv.coords]
+    """Fundamental-weight coordinates of an integral root: the integer
+    Cartan products m_j = sum_i c_i A[i][j]."""
+    return [str(sum(c * a for c, a in zip(root, column)))
+            for column in zip(*rs.cartan)]
 
 
 def _echo_job(spec: JobSpec) -> dict:
@@ -286,6 +287,11 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
         oracle_max = min(o.tau_max, interval.lo * Fraction(9, 10))
     else:
         oracle_max = min(o.tau_max, Fraction(10))
+    steps = momentum.oracle_steps(oracle_max, o.oracle_step)
+    if steps > momentum.ORACLE_MAX_STEPS:
+        raise SchemaError("options.oracle_step",
+                          f"{steps} oracle steps on [0, {float(oracle_max):.6g}] "
+                          f"exceed the cap of {momentum.ORACLE_MAX_STEPS}")
     taus, phis = momentum.numeric_oracle(qtilde, p, spec.scalar_curvature,
                                          oracle_max, o.oracle_step)
     deviation = float(np.max(np.abs(

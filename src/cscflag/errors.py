@@ -53,5 +53,8 @@ class SchemaError(CscflagError):
     """Job configuration does not match the expected schema."""
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):  # a batch worker's error reaches the parent
+        return type(self), (self.path, self.message)

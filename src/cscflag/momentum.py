@@ -9,7 +9,6 @@ Numeric output (Gauss-Legendre fiber maps, the RK4 oracle) is binary64.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -315,19 +314,21 @@ def fiber_maps(profile: MomentumProfile, interval: Interval, tau0,
     center = (points[1:] + points[:-1])[:, None] / 2
     half = np.diff(points)[:, None] / 2
     m, sums = 16, None
-    while True:
-        nodes, weights = np.polynomial.legendre.leggauss(m)
-        u, w = center + half * nodes, half * weights
-        v = phi.eval_float(u)
-        previous, sums = sums, np.stack(
-            [w / v, w / (2 * np.sqrt(v)), w * u / v]).sum(axis=2)
-        if m > 16 and (close := np.abs(sums - previous) < rel_tol * sums).all():
-            break
-        if m >= FIBER_MAX_NODES:
-            gap = int(np.argmin(close.all(axis=0)))
-            raise StepTooLarge(f"fiber-map quadrature misses rel_tol {rel_tol:.3e} with "
-                               f"{m} nodes on [{points[gap]:.17g}, {points[gap + 1]:.17g}]")
-        m *= 2
+    # a sum that is not finite never converges, and fails below without a warning
+    with np.errstate(all="ignore"):
+        while True:
+            nodes, weights = np.polynomial.legendre.leggauss(m)
+            u, w = center + half * nodes, half * weights
+            v = phi.eval_float(u)
+            previous, sums = sums, np.stack(
+                [w / v, w / (2 * np.sqrt(v)), w * u / v]).sum(axis=2)
+            if m > 16 and (close := np.abs(sums - previous) < rel_tol * sums).all():
+                break
+            if m >= FIBER_MAX_NODES:
+                gap = int(np.argmin(close.all(axis=0)))
+                raise StepTooLarge(f"fiber-map quadrature misses rel_tol {rel_tol:.3e} with "
+                                   f"{m} nodes on [{points[gap]:.17g}, {points[gap + 1]:.17g}]")
+            m *= 2
     k = int(np.searchsorted(points, x0))
     below = -np.cumsum(sums[:, :k][:, ::-1], axis=1)[:, ::-1]
     tsf = np.hstack([below, np.zeros((3, 1)), np.cumsum(sums[:, k:], axis=1)])
@@ -336,64 +337,81 @@ def fiber_maps(profile: MomentumProfile, interval: Interval, tau0,
                         r=math.exp(t / 2)) for x, (t, s, f) in zip(xs, rows)]
 
 
+ORACLE_MAX_STEPS = 10 ** 6  # the oracle holds about 25 arrays of this length
+
+
+def oracle_steps(tau_max, step) -> int:
+    """Number of RK4 steps numeric_oracle takes on [0, tau_max]."""
+    return max(int(math.ceil(float(Fraction(tau_max)) / float(Fraction(step))
+                             - 1e-12)), 1)
+
+
+def _rk4_step(u, v, h: float, g0, g_mid, g1):
+    # g0, g_mid, g1: forcing at t, t + h/2 and t + h
+    k1u, k1v = v, g0
+    k2u, k2v = v + h / 2 * k1v, g_mid
+    k3u, k3v = v + h / 2 * k2v, g_mid
+    k4u, k4v = v + h * k3v, g1
+    return (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
+            v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
 def numeric_oracle(qtilde: Polynomial, p: Polynomial, c, tau_max, step,
                    error_bound: float = 1e-6) -> tuple[list[float], list[float]]:
     """Independent check of solve_profile: classical RK4 on u'' = P - C*Q
     with u(0) = 0, u'(0) = Q(0), in binary64; returns (taus, phi samples).
 
     The local error per step is estimated by step doubling on u and u';
-    if it exceeds error_bound * max(1, |u|, |u'|), StepTooLarge is raised.
-    The bound is relative because u = Phi grows like tau**(n+1).
+    if it exceeds error_bound * max(1, |u|, |u'|), StepTooLarge is raised
+    at the first such step. The bound is relative because u = Phi grows
+    like tau**(n+1).
 
-    The forcing does not depend on u, so it is evaluated once per abscissa
-    array; only the recurrence runs step by step. Every float is the one a
-    step-by-step evaluation would give: abscissae accumulate by repeated
-    t + h and the forcing is P(x) - C*Q(x)."""
+    The forcing g = P - C*Q does not depend on u, so every stage of u' is
+    known up front and the recurrence runs as prefix sums over whole
+    arrays: u' is the running sum of its increments, then u the running
+    sum of its own. np.add.accumulate adds left to right, and each
+    increment keeps a step's operation order, so every float, and the
+    first failing step, is the one a step-by-step loop gives."""
     c = float(Fraction(c))
     tau_max = float(Fraction(tau_max))
     h = float(Fraction(step))
     if h <= 0 or tau_max <= 0:
         raise ValueError("step and tau_max must be positive")
 
-    def g(x: np.ndarray) -> list[float]:
-        return (p.eval_float(x) - c * qtilde.eval_float(x)).tolist()
+    def g(x: np.ndarray) -> np.ndarray:
+        return p.eval_float(x) - c * qtilde.eval_float(x)
 
-    def rk4_step(u: float, v: float, h: float, g0: float, g_mid: float,
-                 g1: float) -> tuple[float, float]:
-        # g0, g_mid, g1: forcing at t, t + h/2 and t + h
-        k1u, k1v = v, g0
-        k2u, k2v = v + h / 2 * k1v, g_mid
-        k3u, k3v = v + h / 2 * k2v, g_mid
-        k4u, k4v = v + h * k3v, g1
-        return (u + h / 6 * (k1u + 2 * k2u + 2 * k3u + k4u),
-                v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v))
-
-    steps = max(int(math.ceil(tau_max / h - 1e-12)), 1)
+    steps = oracle_steps(tau_max, h)
     h = tau_max / steps
-    taus = list(itertools.accumulate(itertools.repeat(h, steps), initial=0.0))
-    grid = np.array(taus)
+    grid = np.add.accumulate(np.r_[0.0, np.full(steps, h)])
     t = grid[:-1]
     mid = t + h / 2
-    # t + h is exactly the next grid point, so the full step's end reuses it
-    g_grid = g(grid)
-    g_t, g_end = g_grid[:-1], g_grid[1:]
-    g_mid, g_q1 = g(mid), g(t + h / 4)
-    g_q3, g_mid_end = g(mid + h / 4), g(mid + h / 2)
-    u, v = 0.0, qtilde.eval_float(0.0)
-    us = []
-    for i in range(steps):
-        u1, v1 = rk4_step(u, v, h, g_t[i], g_mid[i], g_end[i])
-        ua, va = rk4_step(u, v, h / 2, g_t[i], g_q1[i], g_mid[i])
-        u2, v2 = rk4_step(ua, va, h / 2, g_mid[i], g_q3[i], g_mid_end[i])
-        bound = error_bound * max(1.0, abs(u1), abs(v1))
-        if abs(u1 - u2) > bound or abs(v1 - v2) > bound:
-            raise StepTooLarge(
-                f"local error estimate {max(abs(u1 - u2), abs(v1 - v2)):.3e} "
-                f"exceeds {bound:.3e} at tau = {taus[i]:.6g}")
-        u, v = u1, v1
-        us.append(u)
-    phis = [0.0] + (np.array(us) / qtilde.eval_float(grid[1:])).tolist()
-    return taus, phis
+    with np.errstate(all="ignore"):
+        # t + h is exactly the next grid point, so the full step's end reuses it
+        g_grid = g(grid)
+        g_t, g_end = g_grid[:-1], g_grid[1:]
+        g_mid, g_q1 = g(mid), g(t + h / 4)
+        g_q3, g_mid_end = g(mid + h / 4), g(mid + h / 2)
+        # a step's increments in its own operation order (2g + 2g, not 4g)
+        dv = h / 6 * (g_t + 2 * g_mid + 2 * g_mid + g_end)
+        v = np.add.accumulate(np.r_[qtilde.eval_float(0.0), dv])
+        v0 = v[:-1]  # u' at the start of each step
+        du = h / 6 * (v0 + 2 * (v0 + h / 2 * g_t) + 2 * (v0 + h / 2 * g_mid)
+                      + (v0 + h * g_mid))
+        u = np.add.accumulate(np.r_[0.0, du])
+        u1, v1 = u[1:], v[1:]
+        ua, va = _rk4_step(u[:-1], v0, h / 2, g_t, g_q1, g_mid)
+        u2, v2 = _rk4_step(ua, va, h / 2, g_mid, g_q3, g_mid_end)
+        # fmax, like max(), passes over NaN, and NaN compares false
+        bound = error_bound * np.fmax(np.fmax(1.0, np.abs(u1)), np.abs(v1))
+        bad = (np.abs(u1 - u2) > bound) | (np.abs(v1 - v2) > bound)
+        phis = np.r_[0.0, u1 / qtilde.eval_float(grid[1:])]
+    if bad.any():
+        i = int(bad.argmax())
+        err = max(abs(u1[i] - u2[i]), abs(v1[i] - v2[i])).item()
+        raise StepTooLarge(f"local error estimate {err:.3e} exceeds "
+                           f"{bound[i].item():.3e} at tau = {grid[i].item():.6g}")
+    return grid.tolist(), phis.tolist()
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,22 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
     return tuple(coeffs[:n])
+
+
+def _horner_float(coeffs: Iterable[Fraction], x):
+    """sum of c_i * x**(k - i) over coeffs c_0, ..., c_k, in binary64."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + float(c)
+    return acc
 
 
 class Polynomial:
@@ -52,10 +62,7 @@ class Polynomial:
         return acc
 
     def eval_float(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+        return _horner_float(reversed(self.coeffs), x)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -195,8 +202,27 @@ class RationalFunction:
     def __call__(self, x):
         return self.numerator(x) / self.denominator(x)
 
-    def eval_float(self, x: float) -> float:
-        return self.numerator.eval_float(x) / self.denominator.eval_float(x)
+    def eval_float(self, x):
+        """Binary64 value at a float or an array of floats. Where the
+        quotient N(x)/D(x) is not finite and |x| > 1, it is
+        x**(deg N - deg D) * N_rev(1/x)/D_rev(1/x) instead (N_rev, D_rev
+        with the coefficient lists reversed), which overflows only where
+        the value itself leaves binary64. Finite quotients are kept."""
+        n, d = self.numerator, self.denominator
+        with np.errstate(all="ignore"):
+            value = n.eval_float(x) / d.eval_float(x)
+            direct = np.isfinite(value) | (np.abs(x) <= 1)
+            if direct.all():
+                return value
+            x, k = np.asarray(x, dtype=float), n.degree - d.degree
+            # Horner on the ascending coefficients evaluates the reversal;
+            # x**k = m**k * 2**(e*k) for x = m * 2**e, and the exact power
+            # of 2 is applied last, so no intermediate overflows
+            ratio = _horner_float(n.coeffs, 1 / x) / _horner_float(d.coeffs, 1 / x)
+            m, e = np.frexp(x)
+            far = np.ldexp(m ** k * ratio, e * k)
+            value = np.where(direct, value, far)
+        return value if value.ndim else float(value)
 
     def derivative_at(self, x: Fraction) -> Fraction:
         n, d = self.numerator, self.denominator

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from cscflag import SchemaError, invariants, momentum, poly, rootsys
+from cscflag import (SchemaError, build_flag, invariants, momentum, poly,
+                     rootsys)
 from cscflag.cli import (EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_WEIGHT_DOMAIN,
-                         emit, main, parse_config, run)
+                         _weight_basis, emit, main, parse_config, run)
 
 F = Fraction
 
@@ -160,6 +162,17 @@ class TestRun:
         assert run(spec, with_timing=True)["timing"] > 0
 
 
+@pytest.mark.parametrize("lie_type", ["A1", "B3", "C4", "D5", "G2", "F4",
+                                      "E8", "A2xA1"])
+def test_weight_basis_matches_convert(lie_type):
+    rs = rootsys.build_root_system(rootsys.parse_lie_type(lie_type))
+    delta = build_flag(rs, []).delta.coords
+    for root in [*rs.positive_roots, tuple(int(c) for c in delta)]:
+        want = rootsys.convert(rs, rootsys.WeightVector.roots(root),
+                               rootsys.Basis.FUNDAMENTAL_WEIGHT)
+        assert _weight_basis(rs, root) == [str(F(c)) for c in want.coords]
+
+
 class TestEmit:
     def test_json_deterministic(self):
         report = run(job_of(a2_job()))
@@ -286,6 +299,36 @@ class TestMain:
         report = json.loads(out.read_text())
         assert report["flag"]["n"] == 121
         assert report["metric_index"] == "2/121"  # 2/(m+1), m = 120
+
+    def test_phi_past_its_numerator_overflow(self, tmp_path, capfd):
+        # on the E7 full flag at C = 0, Phi and Qtilde overflow near
+        # tau = 1.5e4 while phi is about (1 + tau)/32 (metric index 2/64);
+        # the samples reach 1e5
+        job = {"lie_type": "E7", "pi_prime": [], "lambda": [-1] * 7,
+               "kappa": [1] * 7, "scalar_curvature": 0,
+               "options": {"tau_max": "100000", "emit_samples": True}}
+        out = tmp_path / "report.json"
+        assert main([self.write(tmp_path, job), "--out", str(out)]) == EXIT_OK
+        assert capfd.readouterr().err == ""
+        last = json.loads(out.read_text())["samples"][-1]
+        assert last["tau"] == 1e5
+        assert last["phi"] == pytest.approx((1 + 1e5) / 32, rel=1e-12)
+
+    def test_oracle_step_cap_exit_2(self, tmp_path, capsys):
+        job = o1_job(options={"oracle_step": "1/1000000000"})
+        assert main([self.write(tmp_path, job)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "options.oracle_step" in err
+        assert "10000000000 oracle steps" in err and "1000000" in err
+        # the default range [0, 10] at step 1/100000 is just at the cap
+        assert momentum.oracle_steps(10, F(1, 100000)) \
+            == momentum.ORACLE_MAX_STEPS
+        assert momentum.oracle_steps(10, F(1, 99999)) < momentum.ORACLE_MAX_STEPS
+
+    def test_schema_error_survives_a_batch_worker(self):
+        # errors raised in a --jobs N worker are pickled to the parent
+        exc = pickle.loads(pickle.dumps(SchemaError("options.x", "too big")))
+        assert (exc.path, str(exc)) == ("options.x", "options.x: too big")
 
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency

@@ -1,6 +1,8 @@
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cscflag import (BehaviorReport, ConicalExpansion, GridOutOfInterval,
@@ -322,15 +324,17 @@ class TestFiberMaps:
         with pytest.raises(StepTooLarge, match=r"256 nodes on \[1, 2\]"):
             fiber_maps(profile, momentum_interval(profile), 1, [2], rel_tol=0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_phi_overflow_fails(self):
-        # A1 at C = -1: phi.eval_float is inf above about 1.1e103, so the
-        # gap sums there are 0 and never agree to a relative tolerance
+        # A1 at C = -1: phi = (tau + 3/2 tau^2 + tau^3/6)/(1 + tau) is
+        # about tau^2/6, which is finite at 1e154 although its numerator is
+        # not; at 1e155 phi itself leaves binary64, the gap sums are not
+        # finite and never agree, and no numpy warning is printed
         profile = solve_profile(*build_profile_inputs(*o_minus(1))[:2], -1)
         interval = momentum_interval(profile)
-        assert fiber_maps(profile, interval, 1, [10 ** 103])[0].t > 0
+        row = fiber_maps(profile, interval, 1, [10 ** 154])[0]
+        assert row.phi == pytest.approx(1e308 / 6, rel=1e-15) and row.t > 0
         with pytest.raises(StepTooLarge, match="256 nodes"):
-            fiber_maps(profile, interval, 1, [10 ** 104])
+            fiber_maps(profile, interval, 1, [10 ** 155])
 
     @pytest.mark.parametrize("lie_type,pi_prime,c,tau0,tau_max", [
         ("A1", [], -1, None, 10), ("A1", [], 0, None, 10),
@@ -439,6 +443,49 @@ class TestNumericOracle:
         taus, phis = numeric_oracle(qtilde, p, 0, 4, F(1, 100))
         assert phis[-1] == pytest.approx(4 + 4 ** 10 / 90, rel=1e-9)
 
+    def test_fails_mid_range_like_the_reference(self):
+        # u'' = tau^20 with u'(0) = 1: the step-doubling error grows with
+        # tau while |u| < 1, so the first failing step is inside the range
+        qtilde, p = Polynomial([1]), Polynomial([0] * 20 + [1])
+        with pytest.raises(StepTooLarge) as want:
+            _reference_oracle(qtilde, p, 0, 2, F(1, 10))
+        with pytest.raises(StepTooLarge) as got:
+            numeric_oracle(qtilde, p, 0, 2, F(1, 10))
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("at tau = 0.7")
+
+    def test_forcing_overflow_emits_no_warning(self):
+        # u = 1e300*(tau + tau^10/90): the stage sums of u leave binary64
+        # at tau = 8.62 and the forcing near 17.8; the states turn inf and
+        # NaN, which the error test lets through, as a step-by-step loop does
+        big = 10 ** 300
+        qtilde, p = Polynomial([big]), Polynomial([0] * 8 + [big])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            taus, phis = numeric_oracle(qtilde, p, 0, 20, F(1, 100))
+        ref_taus, ref_phis = _reference_oracle(qtilde, p, 0, 20, F(1, 100))
+        assert taus == ref_taus
+        np.testing.assert_array_equal(phis, ref_phis)
+        assert math.isfinite(phis[861]) and phis[862] == phis[-1] == math.inf
+
+    def test_forcing_evaluations_do_not_grow_with_the_steps(self, monkeypatch):
+        # the forcing is evaluated on whole arrays, never once per step
+        calls = []
+        eval_float = Polynomial.eval_float
+
+        def counting(self, x):
+            calls.append(x)
+            return eval_float(self, x)
+
+        monkeypatch.setattr(Polynomial, "eval_float", counting)
+        qtilde, p, _ = build_profile_inputs(fv_of("A2"), [-1, -1], [1, 1])
+        counts = []
+        for step in (F(1, 100), F(1, 10000)):
+            calls.clear()
+            numeric_oracle(qtilde, p, 1, 1, step)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 12
+
     def test_bound_scales_with_the_state(self):
         # Scaling Q and P by 10^8 scales u and its step-doubling error
         # alike; an absolute bound of 1e-6 would reject the scaled system.
@@ -449,7 +496,8 @@ class TestNumericOracle:
 
 def _reference_oracle(qtilde, p, c, tau_max, step, error_bound=1e-6):
     """Scalar RK4 loop, one forcing evaluation per stage: the reference
-    that numeric_oracle must reproduce float for float."""
+    that numeric_oracle must reproduce float for float, failing step and
+    message included."""
     c = float(Fraction(c))
     tau_max = float(Fraction(tau_max))
     h = float(Fraction(step))
@@ -473,7 +521,11 @@ def _reference_oracle(qtilde, p, c, tau_max, step, error_bound=1e-6):
         u1, v1 = rk4_step(t, u, v, h)
         ua, va = rk4_step(t, u, v, h / 2)
         u2, v2 = rk4_step(t + h / 2, ua, va, h / 2)
-        assert abs(u1 - u2) <= error_bound and abs(v1 - v2) <= error_bound
+        bound = error_bound * max(1.0, abs(u1), abs(v1))
+        if abs(u1 - u2) > bound or abs(v1 - v2) > bound:
+            raise StepTooLarge(
+                f"local error estimate {max(abs(u1 - u2), abs(v1 - v2)):.3e} "
+                f"exceeds {bound:.3e} at tau = {t:.6g}")
         t, u, v = t + h, u1, v1
         taus.append(t)
         phis.append(u / qtilde.eval_float(t))

@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cscflag.poly import (Polynomial, RationalFunction, count_roots, gcd,
@@ -140,6 +142,32 @@ class TestRationalFunction:
         d = dict(terms)
         assert d[1] == F(1, 2) and d[0] == F(1, 2)
         assert d[-1] == F(-1, 2) and d[-2] == F(1, 2)
+
+    def test_eval_float_keeps_finite_quotients(self):
+        f = RationalFunction(P(0, 1, F(3, 2), F(1, 6)), P(1, 1))
+        xs = [0.0, 0.5, 3.0, 1e50, 1e100, 1e102]
+        direct = [f.numerator.eval_float(x) / f.denominator.eval_float(x)
+                  for x in xs]
+        assert [f.eval_float(x) for x in xs] == direct
+        assert f.eval_float(np.array(xs)).tolist() == direct
+        assert all(type(f.eval_float(x)) is float for x in xs)
+
+    @pytest.mark.parametrize("x", [1e104, -1e104, 1e154, 3e154])
+    def test_eval_float_past_the_numerator_overflow(self, x):
+        # tau^3/6 overflows near 1e103, the quotient about tau^2/6 near 3e154
+        f = RationalFunction(P(0, 1, F(3, 2), F(1, 6)), P(1, 1))
+        want = float(f(F(x)))
+        assert type(f.eval_float(x)) is float
+        assert f.eval_float(x) == pytest.approx(want, rel=1e-15)
+        assert f.eval_float(np.array([2.0, x]))[1] == f.eval_float(x)
+
+    def test_eval_float_overflows_with_the_value(self):
+        f = RationalFunction(P(0, 1, F(3, 2), F(1, 6)), P(1, 1))
+        assert f.eval_float(1e155) == math.inf
+        assert f.eval_float(-1e155) == math.inf
+        # x^200/x^201: both overflow at 1e200, the quotient 1/x does not
+        g = RationalFunction(P(*[0] * 200, 1), P(*[0] * 201, 1))
+        assert g.eval_float(np.array([1e200, 2.0])).tolist() == [1e-200, 0.5]
 
     def test_laurent_matches_numeric(self):
         f = RationalFunction(P(3, 0, 2, 1), P(1, 2, 1))

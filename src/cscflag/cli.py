@@ -3,9 +3,11 @@ emission.
 
 A job is a JSON object (or an array of objects for batch mode) naming the
 Lie type, the parabolic subset, the bundle weight, the Kahler class and
-the target scalar curvature. The report serialization is canonical: fixed
-key order, rationals rendered as "p/q" strings, binary64 values with 17
-significant digits, so identical jobs produce byte-identical output.
+the target scalar curvature. ``run`` builds its report from the objects
+the pipeline returns and renders them with one rule (``_plain``). The
+serialization is canonical: fixed key order, rationals as "p/q" strings,
+binary64 values with 17 significant digits, so identical jobs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -42,6 +44,7 @@ EXIT_ORACLE = 5
 
 @dataclass(frozen=True)
 class JobOptions:
+    # the field order is the key order of the report's options echo
     tolerance: Fraction = momentum.DEFAULT_ENCLOSURE_WIDTH
     sample_count: int = 16
     tau_max: Fraction = Fraction(10)
@@ -66,13 +69,11 @@ def _rational(value, path: str) -> Fraction:
         raise SchemaError(path, "expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (str, float)):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):  # NaN, Infinity
             raise SchemaError(path, f"cannot parse rational {value!r}") from None
-    if isinstance(value, float):
-        return Fraction(value)
     raise SchemaError(path, f"expected a rational, got {type(value).__name__}")
 
 
@@ -88,8 +89,7 @@ def _parse_options(raw, path: str) -> JobOptions:
         return JobOptions()
     if not isinstance(raw, dict):
         raise SchemaError(path, "options must be an object")
-    known = {"tolerance", "sample_count", "tau_max", "tau0",
-             "find_smooth_c", "emit_samples", "oracle_step"}
+    known = {f.name for f in fields(JobOptions)}
     for key in raw:
         if key not in known:
             raise SchemaError(f"{path}.{key}", "unknown option")
@@ -127,6 +127,14 @@ def _parse_options(raw, path: str) -> JobOptions:
     if opts.emit_samples and opts.sample_count < 2:
         raise SchemaError(f"{path}.sample_count",
                           "need at least 2 samples when emit_samples is set")
+    searching = opts.find_smooth_c is not None
+    if searching and opts.sample_count < 1:
+        raise SchemaError(f"{path}.sample_count",
+                          "need at least 1 sample when find_smooth_c is set")
+    # each sample is a row of fiber-map nodes or one certification
+    if (searching or opts.emit_samples) and opts.sample_count > 1024:
+        raise SchemaError(f"{path}.sample_count", "at most 1024 samples when "
+                          "emit_samples or find_smooth_c is set")
     return opts
 
 
@@ -185,10 +193,6 @@ def parse_config(text: str) -> tuple[list[JobSpec], bool]:
     return [_parse_job(doc, "$")], False
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _weight_basis(rs, root) -> list[str]:
     """Fundamental-weight coordinates of an integral root: the integer
     Cartan products m_j = sum_i c_i A[i][j]."""
@@ -196,70 +200,40 @@ def _weight_basis(rs, root) -> list[str]:
             for column in zip(*rs.cartan)]
 
 
-def _echo_job(spec: JobSpec) -> dict:
-    o = spec.options
-    return {
-        "lie_type": spec.lie_type,
-        "pi_prime": list(spec.pi_prime),
-        "lambda": list(spec.lam),
-        "kappa": [_frac_str(x) for x in spec.kappa],
-        "scalar_curvature": _frac_str(spec.scalar_curvature),
-        "options": {
-            "tolerance": _frac_str(o.tolerance),
-            "sample_count": o.sample_count,
-            "tau_max": _frac_str(o.tau_max),
-            "tau0": None if o.tau0 is None else _frac_str(o.tau0),
-            "find_smooth_c": None if o.find_smooth_c is None
-            else [_frac_str(o.find_smooth_c[0]), _frac_str(o.find_smooth_c[1])],
-            "emit_samples": o.emit_samples,
-            "oracle_step": _frac_str(o.oracle_step),
-        },
-    }
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, in declaration order."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _interval_dict(interval: momentum.Interval) -> dict:
-    if not interval.finite:
-        return {"finite": False, "lo": None, "hi": None}
-    return {"finite": True, "lo": _frac_str(interval.lo),
-            "hi": _frac_str(interval.hi)}
+def _asymptotics(profile: momentum.MomentumProfile,
+                 behavior: momentum.BehaviorReport) -> dict:
+    """The case asymptotics: the conical expansion at C = 0, its terms
+    written as "laurent", else the case data of the behavior report."""
+    if profile.c == 0:
+        expansion = _fields(momentum.conical_expansion(profile))
+        return {"case": "conical", "laurent": expansion.pop("terms"), **expansion}
+    if profile.c < 0:
+        return {"case": "hyperbolic", "rate": behavior.hyperbolic_rate,
+                "leading_coefficient": behavior.leading_coefficient}
+    return {"case": "cone_angle",
+            "b_enclosure": [behavior.interval.lo, behavior.interval.hi],
+            "angle_factor": behavior.cone_angle_factor,
+            "smooth_completion": behavior.smooth_completion}
 
 
-def _endpoint_dict(row: momentum.EndpointRow) -> dict:
-    return {
-        "kind": row.kind,
-        "zero_order": row.zero_order,
-        "slope": row.slope,
-        "growth_degree": row.growth_degree,
-        "t_range_finite": row.t_range_finite,
-        "distance_finite": row.distance_finite,
-    }
-
-
-def _asymptotics_dict(data) -> dict:
-    if isinstance(data, momentum.ConicalExpansion):
-        return {
-            "case": "conical",
-            "laurent": [[e, _frac_str(c)] for e, c in data.terms],
-            "terminates": data.terminates,
-            "leading_coefficient": _frac_str(data.leading_coefficient),
-            "cone_exponent": _frac_str(data.cone_exponent),
-            "tail_order": data.tail_order,
-            "improved_decay": data.improved_decay,
-            "decay_order": data.decay_order,
-        }
-    if data.theorem_case == "negative_csc":
-        return {
-            "case": "hyperbolic",
-            "rate": data.hyperbolic_rate,
-            "leading_coefficient": _frac_str(data.leading_coefficient),
-        }
-    return {
-        "case": "cone_angle",
-        "b_enclosure": [_frac_str(data.interval.lo),
-                        _frac_str(data.interval.hi)],
-        "angle_factor": data.cone_angle_factor,
-        "smooth_completion": data.smooth_completion,
-    }
+def _plain(obj):
+    """The report's one rendering rule: a dataclass becomes the dict of its
+    fields in declaration order, a tuple becomes a list and a Fraction its
+    "p/q" string; dicts keep their key order, JSON scalars stay as they are."""
+    if obj is None or isinstance(obj, (str, int, float)):  # bool is an int
+        return obj
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    return _plain(_fields(obj))
 
 
 def run(spec: JobSpec, with_timing: bool = False) -> dict:
@@ -280,7 +254,6 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
     profile = momentum.solve_profile(qtilde, p, spec.scalar_curvature)
     behavior = momentum.classify_behavior(profile, o.tolerance)
     interval = behavior.interval
-    asym = momentum.conical_expansion(profile) if profile.c == 0 else behavior
 
     # independent numeric cross-check of the closed-form profile
     if interval.finite:
@@ -299,14 +272,9 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
 
     smooth_search = None
     if o.find_smooth_c is not None:
-        result = momentum.find_smooth_C(fv, spec.lam, spec.kappa,
-                                        o.find_smooth_c[0], o.find_smooth_c[1],
-                                        samples=o.sample_count,
-                                        width=o.tolerance)
-        smooth_search = {
-            "c_star": None if result.c_star is None else _frac_str(result.c_star),
-            "samples": [[_frac_str(c), g] for c, g in result.samples],
-        }
+        smooth_search = momentum.find_smooth_C(
+            fv, spec.lam, spec.kappa, *o.find_smooth_c,
+            samples=o.sample_count, width=o.tolerance)
 
     samples = None
     if o.emit_samples:
@@ -317,68 +285,55 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
             hi = o.tau_max
             tau0 = o.tau0 if o.tau0 is not None else Fraction(1)
         grid = [hi * j / o.sample_count for j in range(1, o.sample_count + 1)]
-        rows = momentum.fiber_maps(profile, interval, tau0, grid)
-        samples = [{"tau": r.tau, "phi": r.phi, "t": r.t, "s": r.s,
-                    "f": r.f, "r": r.r} for r in rows]
+        samples = momentum.fiber_maps(profile, interval, tau0, grid)
 
-    report = {
+    behavior_fields = _fields(behavior)
+    del behavior_fields["interval"]  # the report's own "interval"
+    return _plain({
         "schema_version": SCHEMA_VERSION,
-        "job": _echo_job(spec),
+        "job": {"lie_type": spec.lie_type, "pi_prime": spec.pi_prime,
+                "lambda": spec.lam, "kappa": spec.kappa,
+                "scalar_curvature": spec.scalar_curvature,
+                "options": o},
         "flag": {
             "rank": rs.rank,
             "dim_X": fv.dim_X,
             "n": n,
-            "s_star_indices": list(fv.s_star_indices),
-            "d_plus": [{"root": list(r), "weight_basis": _weight_basis(rs, r)}
+            "s_star_indices": fv.s_star_indices,
+            "d_plus": [{"root": r, "weight_basis": _weight_basis(rs, r)}
                        for r in fv.d_plus],
             "delta": {
-                "root": [_frac_str(c) for c in fv.delta.coords],
+                "root": fv.delta.coords,
                 "weight_basis": _weight_basis(
                     rs, [int(c) for c in fv.delta.coords]),
             },
         },
         "bundle": {
             "classification": bundle_sign.value,
-            "curvature_coeffs": [_frac_str(curv[r]) for r in fv.d_plus],
-            "kahler_coeffs": [_frac_str(kah[r]) for r in fv.d_plus],
-            "ke_coeffs": [_frac_str(ke[r]) for r in fv.d_plus],
+            "curvature_coeffs": [curv[r] for r in fv.d_plus],
+            "kahler_coeffs": [kah[r] for r in fv.d_plus],
+            "ke_coeffs": [ke[r] for r in fv.d_plus],
         },
         "invariant_fields": {
             "case": inv.case,
             "dimension": inv.dimension,
-            "distinguished_root": None if inv.distinguished_root is None
-            else list(inv.distinguished_root),
-            "l": None if inv.proportionality is None
-            else _frac_str(inv.proportionality),
+            "distinguished_root": inv.distinguished_root,
+            "l": inv.proportionality,
             "convention": "lambda = -l * alpha",
             "ddc_applicable": ddc_ok,
             "ddc_reason": ddc_reason,
         },
         "profile": {
             "n": n,
-            "qtilde": [_frac_str(c) for c in qtilde.coeffs],
-            "p": [_frac_str(c) for c in p.coeffs],
-            "phi_numerator": [_frac_str(c) for c in profile.phi_poly.coeffs],
-            "scalar_curvature": _frac_str(profile.c),
+            "qtilde": qtilde.coeffs,
+            "p": p.coeffs,
+            "phi_numerator": profile.phi_poly.coeffs,
+            "scalar_curvature": profile.c,
         },
-        "interval": _interval_dict(interval),
-        "behavior": {
-            "theorem_case": behavior.theorem_case,
-            "domain": behavior.domain,
-            "origin": _endpoint_dict(behavior.origin),
-            "far_end": _endpoint_dict(behavior.far_end),
-            "metric_index": None if behavior.metric_index is None
-            else _frac_str(behavior.metric_index),
-            "cone_exponent": None if behavior.cone_exponent is None
-            else _frac_str(behavior.cone_exponent),
-            "hyperbolic_rate": behavior.hyperbolic_rate,
-            "leading_coefficient": None if behavior.leading_coefficient is None
-            else _frac_str(behavior.leading_coefficient),
-            "cone_angle_factor": behavior.cone_angle_factor,
-            "smooth_completion": behavior.smooth_completion,
-        },
-        "metric_index": _frac_str(momentum.metric_index(fv, spec.lam)),
-        "asymptotics": _asymptotics_dict(asym),
+        "interval": interval,
+        "behavior": behavior_fields,
+        "metric_index": momentum.metric_index(fv, spec.lam),
+        "asymptotics": _asymptotics(profile, behavior),
         "oracle": {
             "step": float(o.oracle_step),
             "tau_max": float(oracle_max),
@@ -387,8 +342,7 @@ def run(spec: JobSpec, with_timing: bool = False) -> dict:
         "smooth_c_search": smooth_search,
         "samples": samples,
         "timing": time.perf_counter() - started if with_timing else None,
-    }
-    return report
+    })
 
 
 def _json_scalar(x) -> str:
@@ -439,10 +393,9 @@ def emit(report, fmt: str = "json") -> bytes:
         samples = report.get("samples")
         if not samples:
             raise ValueError("csv output requires emit_samples")
-        lines = ["tau,phi,t,s,f,r"]
-        for row in samples:
-            lines.append(",".join(format(row[k], ".17g")
-                                  for k in ("tau", "phi", "t", "s", "f", "r")))
+        lines = [",".join(samples[0])]  # the FiberSample fields
+        lines += [",".join(format(v, ".17g") for v in row.values())
+                  for row in samples]
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unsupported format {fmt!r}")
 
@@ -452,6 +405,16 @@ def _run_jobs(jobs: list[JobSpec], n_workers: int, with_timing: bool) -> list[di
         return [run(spec, with_timing) for spec in jobs]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(run, jobs, [with_timing] * len(jobs)))
+
+
+# exit code and stderr prefix of each failure; the first matching row wins
+_FAILURES = (
+    ((NotSemiNegative, ZeroWeight), EXIT_WEIGHT_DOMAIN, "weight domain error"),
+    (InternalInconsistency, EXIT_INTERNAL, "internal inconsistency"),
+    (StepTooLarge, EXIT_ORACLE, "oracle error"),
+    ((SchemaError, NonPositiveClass), EXIT_CONFIG, "config error"),
+    ((CscflagError, ValueError, OSError), EXIT_CONFIG, "error"),
+)
 
 
 def main(argv=None) -> int:
@@ -476,35 +439,14 @@ def main(argv=None) -> int:
         else:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         jobs, is_batch = parse_config(text)
-    except ZeroWeight as exc:
-        print(f"weight domain error: {exc}", file=sys.stderr)
-        return EXIT_WEIGHT_DOMAIN
-    except (SchemaError, NonPositiveClass, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         reports = _run_jobs(jobs, args.jobs, args.timing)
-        payload = reports if is_batch else reports[0]
-        data = emit(payload, args.format)
-    except (NotSemiNegative, ZeroWeight) as exc:
-        print(f"weight domain error: {exc}", file=sys.stderr)
-        return EXIT_WEIGHT_DOMAIN
-    except InternalInconsistency as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except StepTooLarge as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
-    except (CscflagError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        data = emit(reports if is_batch else reports[0], args.format)
+    except (CscflagError, ValueError, OSError) as exc:
+        code, prefix = next((code, prefix) for types, code, prefix in _FAILURES
+                            if isinstance(exc, types))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
     if args.out:
         with open(args.out, "wb") as fh:

@@ -42,11 +42,13 @@ class GridOutOfInterval(CscflagError):
 
 
 class StepTooLarge(CscflagError):
-    """Error estimate of the RK4 oracle or the fiber-map quadrature exceeds its bound."""
+    """Error estimate of the RK4 oracle or the fiber-map quadrature exceeds
+    its bound, or a coefficient of the oracle's Qtilde or P is beyond binary64."""
 
 
 class InvalidRange(CscflagError):
-    """Search range for the smooth-completion constant must be positive."""
+    """Search range for the smooth-completion constant must be positive, and
+    the search needs at least one sample."""
 
 
 class SchemaError(CscflagError):

@@ -43,6 +43,7 @@ class MomentumProfile:
 @dataclass(frozen=True)
 class Interval:
     """Momentum interval [0, b); either b = +inf or a rational enclosure."""
+    # the field order is the key order of the report's "interval"
     finite: bool
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
@@ -146,6 +147,7 @@ def momentum_interval(profile: MomentumProfile,
 
 @dataclass(frozen=True)
 class EndpointRow:
+    # the field order is the key order of the report's behavior endpoints
     kind: str  # "finite" or "infinite"
     zero_order: Optional[int] = None  # vanishing order of phi (finite ends)
     slope: Optional[float] = None  # phi' at a finite end
@@ -158,6 +160,7 @@ class EndpointRow:
 class BehaviorReport:
     """Classification of a profile with the data of its case; the single
     source of the hyperbolic (C < 0) and cone-angle (C > 0) asymptotics."""
+    # the field order, less interval, is the key order of the report's "behavior"
     theorem_case: str  # "scalar_flat" | "negative_csc" | "positive_csc"
     domain: str  # "whole_bundle" | "disk_bundle"
     interval: Interval
@@ -232,6 +235,8 @@ def classify_behavior(profile: MomentumProfile,
 @dataclass(frozen=True)
 class ConicalExpansion:
     """C = 0 asymptotics: exact Laurent data of phi at infinity."""
+    # the field order is the key order of the report's C = 0 "asymptotics",
+    # after "case", with terms written as "laurent"
     terms: tuple[tuple[int, Fraction], ...]
     terminates: bool
     leading_coefficient: Fraction
@@ -268,6 +273,7 @@ def asymptotics(profile: MomentumProfile, order: int = 8,
 
 @dataclass(frozen=True)
 class FiberSample:
+    # the field order is the key order of a report sample and the CSV columns
     tau: float
     phi: float
     t: float  # log fiber norm coordinate, anchored t(tau0) = 0
@@ -364,7 +370,8 @@ def numeric_oracle(qtilde: Polynomial, p: Polynomial, c, tau_max, step,
     The local error per step is estimated by step doubling on u and u';
     if it exceeds error_bound * max(1, |u|, |u'|), StepTooLarge is raised
     at the first such step. The bound is relative because u = Phi grows
-    like tau**(n+1).
+    like tau**(n+1). StepTooLarge is raised before any step, naming the
+    polynomial, when a coefficient of Q or P is beyond binary64.
 
     The forcing g = P - C*Q does not depend on u, so every stage of u' is
     known up front and the recurrence runs as prefix sums over whole
@@ -377,6 +384,12 @@ def numeric_oracle(qtilde: Polynomial, p: Polynomial, c, tau_max, step,
     h = float(Fraction(step))
     if h <= 0 or tau_max <= 0:
         raise ValueError("step and tau_max must be positive")
+    for name, f in (("Qtilde", qtilde), ("P", p)):
+        try:
+            [float(x) for x in f.coeffs]
+        except OverflowError:
+            raise StepTooLarge(f"a coefficient of {name} is beyond binary64, "
+                               "so the oracle cannot evaluate it") from None
 
     def g(x: np.ndarray) -> np.ndarray:
         return p.eval_float(x) - c * qtilde.eval_float(x)
@@ -416,6 +429,7 @@ def numeric_oracle(qtilde: Polynomial, p: Polynomial, c, tau_max, step,
 
 @dataclass(frozen=True)
 class SmoothSearchResult:
+    # the field order is the key order of the report's "smooth_c_search"
     c_star: Optional[Fraction]
     samples: tuple[tuple[Fraction, float], ...]  # (C, phi'(b(C)) + 1)
 
@@ -431,6 +445,8 @@ def find_smooth_C(fv: FlagVariety, lam: Sequence, kappa: Sequence,
     c_lo, c_hi = Fraction(c_lo), Fraction(c_hi)
     if c_lo <= 0 or c_hi <= c_lo:
         raise InvalidRange("need 0 < c_lo < c_hi")
+    if samples < 1:
+        raise InvalidRange("need at least 1 sample")
     qtilde, p, _ = build_profile_inputs(fv, lam, kappa)
 
     def g(c: Fraction) -> float:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cscflag import (SchemaError, build_flag, invariants, momentum, poly,
+from cscflag import (SchemaError, build_flag, cli, invariants, momentum, poly,
                      rootsys)
 from cscflag.cli import (EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_WEIGHT_DOMAIN,
                          _weight_basis, emit, main, parse_config, run)
@@ -76,6 +76,8 @@ class TestParseConfig:
         (lambda j: j.update(schema_version=99), "schema_version"),
         (lambda j: j.update(options={"tolerance": "0"}), "options.tolerance"),
         (lambda j: j.update(options={"tolerance": "-1"}), "options.tolerance"),
+        (lambda j: j.update(scalar_curvature=float("nan")), "scalar_curvature"),
+        (lambda j: j.update(kappa=[float("inf")]), "kappa[0]"),
     ])
     def test_schema_errors(self, mutate, path_part):
         job = o1_job()
@@ -318,12 +320,43 @@ class TestMain:
         job = o1_job(options={"oracle_step": "1/1000000000"})
         assert main([self.write(tmp_path, job)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "options.oracle_step" in err
+        # raised while the job runs, printed like every other SchemaError
+        assert err.startswith("config error: options.oracle_step: ")
         assert "10000000000 oracle steps" in err and "1000000" in err
         # the default range [0, 10] at step 1/100000 is just at the cap
         assert momentum.oracle_steps(10, F(1, 100000)) \
             == momentum.ORACLE_MAX_STEPS
         assert momentum.oracle_steps(10, F(1, 99999)) < momentum.ORACLE_MAX_STEPS
+
+    @pytest.mark.parametrize("count,options", [
+        (0, {"find_smooth_c": ["1/10", "2"]}),
+        (-3, {"find_smooth_c": ["1/10", "2"]}),
+        (1025, {"find_smooth_c": ["1/10", "2"]}),
+        (1025, {"emit_samples": True}),
+    ])
+    def test_sample_count_bounds_exit_2(self, tmp_path, capfd, monkeypatch,
+                                        count, options):
+        # rejected at parse time: no job runs
+        def no_work(*args):
+            raise AssertionError("a job ran")
+        monkeypatch.setattr(cli, "_run_jobs", no_work)
+        job = a2_job(scalar_curvature=1,
+                     options={**options, "sample_count": count})
+        assert main([self.write(tmp_path, job)]) == EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith("config error: $.options.sample_count: ")
+
+    def test_coefficient_beyond_binary64_exit_5(self, tmp_path, capfd):
+        # with kappa = 60 * (sum of the omega_i), Qtilde has coefficients
+        # beyond binary64
+        job = {"lie_type": "E8", "pi_prime": [], "lambda": [-1] * 8,
+               "kappa": [60] * 8, "scalar_curvature": 0}
+        assert main([self.write(tmp_path, job)]) == EXIT_ORACLE
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == ("oracle error: a coefficient of Qtilde is beyond "
+                       "binary64, so the oracle cannot evaluate it\n")
 
     def test_schema_error_survives_a_batch_worker(self):
         # errors raised in a --jobs N worker are pickled to the parent

@@ -1,14 +1,22 @@
-"""Each script in demos/ runs to the end against the current API."""
+"""Each script in demos/ runs to the end against the current API, and so
+does the README quickstart."""
 
+import doctest
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_quickstart():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted > 0 and result.failed == 0

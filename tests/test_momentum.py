@@ -443,6 +443,15 @@ class TestNumericOracle:
         taus, phis = numeric_oracle(qtilde, p, 0, 4, F(1, 100))
         assert phis[-1] == pytest.approx(4 + 4 ** 10 / 90, rel=1e-9)
 
+    @pytest.mark.parametrize("qtilde,p,name", [
+        (Polynomial([F(10) ** 400, 1]), Polynomial([1]), "Qtilde"),
+        (Polynomial([1, 1]), Polynomial([1, F(-10) ** 309]), "P"),
+    ])
+    def test_coefficient_beyond_binary64_raises(self, qtilde, p, name):
+        with pytest.raises(StepTooLarge,
+                           match=f"coefficient of {name} is beyond binary64"):
+            numeric_oracle(qtilde, p, 0, 1, F(1, 10))
+
     def test_fails_mid_range_like_the_reference(self):
         # u'' = tau^20 with u'(0) = 1: the step-doubling error grows with
         # tau while |u| < 1, so the first failing step is inside the range
@@ -550,6 +559,12 @@ class TestSmoothSearch:
             find_smooth_C(fv, lam, kappa, 0, 1)
         with pytest.raises(InvalidRange):
             find_smooth_C(fv, lam, kappa, 2, 1)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_needs_a_sample(self, samples):
+        fv, lam, kappa = o_minus(1)
+        with pytest.raises(InvalidRange, match="at least 1 sample"):
+            find_smooth_C(fv, lam, kappa, 1, 2, samples=samples)
 
 
 class TestGramScaleInvariance:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -113,8 +114,11 @@ def _parse_options(raw, path: str) -> JobOptions:
         rng = raw["find_smooth_c"]
         if not isinstance(rng, list) or len(rng) != 2:
             raise SchemaError(f"{path}.find_smooth_c", "expected [lo, hi]")
-        kw["find_smooth_c"] = (_rational(rng[0], f"{path}.find_smooth_c[0]"),
-                               _rational(rng[1], f"{path}.find_smooth_c[1]"))
+        lo, hi = (_rational(rng[0], f"{path}.find_smooth_c[0]"),
+                  _rational(rng[1], f"{path}.find_smooth_c[1]"))
+        if not 0 < lo < hi:
+            raise SchemaError(f"{path}.find_smooth_c", "need 0 < lo < hi")
+        kw["find_smooth_c"] = (lo, hi)
     if "emit_samples" in raw:
         if not isinstance(raw["emit_samples"], bool):
             raise SchemaError(f"{path}.emit_samples", "expected a boolean")
@@ -124,6 +128,9 @@ def _parse_options(raw, path: str) -> JobOptions:
         if kw["oracle_step"] <= 0:
             raise SchemaError(f"{path}.oracle_step", "must be positive")
     opts = JobOptions(**kw)
+    # a tau0 at or beyond b needs b, so run() rejects it (GridOutOfInterval)
+    if opts.emit_samples and opts.tau0 is not None and opts.tau0 <= 0:
+        raise SchemaError(f"{path}.tau0", "must be positive")
     if opts.emit_samples and opts.sample_count < 2:
         raise SchemaError(f"{path}.sample_count",
                           "need at least 2 samples when emit_samples is set")
@@ -353,6 +360,8 @@ def _json_scalar(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{x} is not a JSON number")
         return format(x, ".17g")
     if isinstance(x, str):
         return json.dumps(x, ensure_ascii=True)

@@ -10,6 +10,7 @@ complement of Pi'.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -87,48 +88,50 @@ class BundleSign(Enum):
     MIXED = "mixed"
 
 
-def _pairings(fv: FlagVariety, v: WeightVector) -> dict[tuple[int, ...], Fraction]:
-    """(v, alpha) for alpha in D+, each one integer dot product with the
-    row g_j = (v, alpha_j): (omega_i, alpha_j) = delta_ij * gram[j][j]/2,
-    and a simple-root vector pairs through the Gram matrix once."""
-    gram = fv.rs.gram
-    if v.basis is Basis.FUNDAMENTAL_WEIGHT:
-        row = [c * gram[j][j] / 2 for j, c in enumerate(v.coords)]
-    else:
-        row = [sum(c * g[j] for c, g in zip(v.coords, gram))
-               for j in range(len(v.coords))]
-    den = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    return {root: Fraction(sum(a * b for a, b in zip(root, ints)), den)
-            for root in fv.d_plus}
+def _pairings(fv: FlagVariety, v: WeightVector) -> tuple[list[int], int]:
+    """Numerators of (v, alpha) for alpha in D+, in order, over one common
+    positive denominator: each is one integer dot product with the row
+    (v, alpha_j) = m_j * gram[j][j]/2, m the fundamental-weight coordinates
+    of v (m = c A for simple-root coordinates c and the Cartan matrix A)."""
+    rs = fv.rs
+    den = math.lcm(*(x.denominator for x in v.coords))
+    m = [x.numerator * (den // x.denominator) for x in v.coords]
+    if v.basis is Basis.SIMPLE_ROOT:
+        m = [sum(map(operator.mul, m, col)) for col in zip(*rs.cartan)]
+    diag = [rs.gram[j][j] for j in range(rs.rank)]
+    gden = math.lcm(*(g.denominator for g in diag))
+    row = [x * g.numerator * (gden // g.denominator) for x, g in zip(m, diag)]
+    return [sum(map(operator.mul, root, row)) for root in fv.d_plus], 2 * den * gden
+
+
+def _by_root(fv: FlagVariety, pairs: tuple[list[int], int]) -> dict:
+    nums, den = pairs
+    return {root: Fraction(x, den) for root, x in zip(fv.d_plus, nums)}
 
 
 def classify_bundle_weight(fv: FlagVariety, n: Sequence) -> BundleSign:
-    lam = bundle_weight_vector(fv, n)
-    values = _pairings(fv, lam).values()
-    if all(v > 0 for v in values):
+    nums, _ = _pairings(fv, bundle_weight_vector(fv, n))
+    if all(v > 0 for v in nums):
         return BundleSign.AMPLE
-    if all(v < 0 for v in values):
+    if all(v < 0 for v in nums):
         return BundleSign.NEGATIVE
-    if all(v <= 0 for v in values):
+    if all(v <= 0 for v in nums):
         return BundleSign.SEMI_NEGATIVE
-    if all(v >= 0 for v in values):
+    if all(v >= 0 for v in nums):
         return BundleSign.SEMI_POSITIVE
     return BundleSign.MIXED
 
 
 def kahler_coeffs(fv: FlagVariety, x: Sequence) -> Mapping[tuple[int, ...], Fraction]:
     """Per-root coefficients 2*C_alpha = (kappa, alpha), all positive."""
-    kappa = kahler_class_vector(fv, x)
-    return _pairings(fv, kappa)
+    return _by_root(fv, _pairings(fv, kahler_class_vector(fv, x)))
 
 
 def curvature_coeffs(fv: FlagVariety, n: Sequence) -> Mapping[tuple[int, ...], Fraction]:
     """Per-root curvature coefficients (lambda, alpha)."""
-    lam = bundle_weight_vector(fv, n)
-    return _pairings(fv, lam)
+    return _by_root(fv, _pairings(fv, bundle_weight_vector(fv, n)))
 
 
 def ke_coeffs(fv: FlagVariety) -> Mapping[tuple[int, ...], Fraction]:
     """Kahler-Einstein coefficients (alpha, delta), always positive."""
-    return _pairings(fv, fv.delta)
+    return _by_root(fv, _pairings(fv, fv.delta))

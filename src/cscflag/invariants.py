@@ -10,12 +10,14 @@ reported with the convention lambda = -l * alpha.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .flag import FlagVariety, bundle_weight_vector
-from .rootsys import WeightVector, is_root, to_root_coords
+from .rootsys import to_root_coords
 
 
 @dataclass(frozen=True)
@@ -26,45 +28,27 @@ class InvariantFieldClassification:
     dimension: int  # of the invariant-field space: 1 or 3
 
 
-def _parallel_ratio(lam_coords, root) -> Optional[Fraction]:
-    """If lam = c * root for a single rational c != 0, return c."""
-    ratio = None
-    for a, b in zip(lam_coords, root):
-        if b == 0:
-            if a != 0:
-                return None
-            continue
-        r = Fraction(a, b)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    if ratio == 0:
-        return None
-    return ratio
+def _is_root(roots: frozenset, v: tuple[int, ...]) -> bool:
+    return v in roots or tuple(-x for x in v) in roots
 
 
 def classify_invariant_fields(fv: FlagVariety, n: Sequence) -> InvariantFieldClassification:
     lam = bundle_weight_vector(fv, n)  # raises ZeroWeight on zero input
-    lam_coords = to_root_coords(fv.rs, lam)
-    for alpha in fv.d_plus:
-        c = _parallel_ratio(lam_coords, alpha)
-        if c is None:
-            continue
+    coords = to_root_coords(fv.rs, lam)
+    den = math.lcm(*(x.denominator for x in coords))
+    ints = [x.numerator * (den // x.denominator) for x in coords]
+    # roots are primitive in the root lattice (W permutes them and fixes the
+    # lattice), so the one root that can be parallel to lambda is lambda's
+    # primitive vector, lambda = c * alpha with c = scale/den
+    scale = math.gcd(*ints) * (1 if sum(ints) > 0 else -1)
+    alpha = tuple(x // scale for x in ints)
+    if alpha in fv.d_plus:
         # sums/differences with stabilizer roots must avoid the root system;
         # the condition is sign-symmetric, so positive representatives suffice
-        ok = True
-        for beta in fv.r_plus:
-            for cand in (tuple(a + b for a, b in zip(alpha, beta)),
-                         tuple(a - b for a, b in zip(alpha, beta))):
-                if is_root(fv.rs, WeightVector.roots(cand)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return InvariantFieldClassification("B", alpha, -c, 3)
-        break  # at most one positive root is parallel to lambda
+        roots = fv.rs.positive_root_set()
+        if not any(_is_root(roots, tuple(map(op, alpha, beta)))
+                   for beta in fv.r_plus for op in (operator.add, operator.sub)):
+            return InvariantFieldClassification("B", alpha, Fraction(-scale, den), 3)
     return InvariantFieldClassification("A", None, None, 1)
 
 

@@ -9,6 +9,7 @@ Numeric output (Gauss-Legendre fiber maps, the RK4 oracle) is binary64.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,8 @@ import numpy as np
 from . import poly
 from .errors import (GridOutOfInterval, InternalInconsistency, InvalidRange,
                      NotSemiNegative, StepTooLarge, WrongCase)
-from .flag import FlagVariety, curvature_coeffs, kahler_coeffs, ke_coeffs
+from .flag import (FlagVariety, _pairings, bundle_weight_vector,
+                   kahler_class_vector)
 from .poly import Polynomial, RationalFunction
 
 DEFAULT_ENCLOSURE_WIDTH = Fraction(1, 10 ** 12)
@@ -53,24 +55,17 @@ class Interval:
         return (self.lo + self.hi) / 2
 
 
-def _negative_curvature(fv: FlagVariety, lam: Sequence) -> dict:
-    """(lambda, alpha) for alpha in D+, each checked to be negative."""
-    curv = curvature_coeffs(fv, lam)
-    for root, v in curv.items():
+def _negative_curvature(fv: FlagVariety, lam: Sequence) -> tuple[list[int], int]:
+    """Numerators of (lambda, alpha) for alpha in D+ over their common
+    denominator, each checked to be negative."""
+    nums, den = _pairings(fv, bundle_weight_vector(fv, lam))
+    for root, v in zip(fv.d_plus, nums):
         if v >= 0:
             raise NotSemiNegative(
-                f"(lambda, alpha) = {v} >= 0 for alpha = {list(root)}; "
-                "the momentum construction needs a strictly negative weight")
-    return curv
-
-
-def _primitive(a: Fraction, b: Fraction) -> tuple[Fraction, int, int]:
-    """(content, A, B) with a + b*tau = content * (A + B*tau), gcd(A, B) = 1."""
-    den = math.lcm(a.denominator, b.denominator)
-    big_a = a.numerator * (den // a.denominator)
-    big_b = b.numerator * (den // b.denominator)
-    g = math.gcd(big_a, big_b)
-    return Fraction(g, den), big_a // g, big_b // g
+                f"(lambda, alpha) = {Fraction(v, den)} >= 0 for alpha = "
+                f"{list(root)}; the momentum construction needs a strictly "
+                "negative weight")
+    return nums, den
 
 
 def build_profile_inputs(fv: FlagVariety, lam: Sequence, kappa: Sequence
@@ -79,51 +74,65 @@ def build_profile_inputs(fv: FlagVariety, lam: Sequence, kappa: Sequence
     Raises NotSemiNegative unless lambda is strictly negative.
 
     Qtilde = prod over D+ of the factors kappa_alpha - lambda_alpha*tau and
-    P = sum (alpha, delta) * Qtilde / factor. Each factor is
-    content * (A + B*tau) with coprime positive integers A, B; the roots of
-    one pair (A, B) form a group g of m_g roots. The integer product
-    prod (A_g + B_g*tau)^m_g is one big integer, its value at tau = 2^k
-    (Kronecker substitution): its coefficients are nonnegative and sum to
-    prod (A_g + B_g)^m_g < 2^k, so they unpack with no carries. Each
-    quotient by A_g + B_g*tau comes from exact integer synthetic division
-    and enters P with weight w_g, the sum of (alpha, delta)/content."""
-    curv = _negative_curvature(fv, lam)
-    kah = kahler_coeffs(fv, kappa)
-    ke = ke_coeffs(fv)
-    groups: dict[tuple[int, int], list] = {}  # (A, B) -> [m_g, w_g]
-    content = Fraction(1)
-    for root, k in kah.items():
-        c, big_a, big_b = _primitive(k, -curv[root])
-        content *= c
-        group = groups.setdefault((big_a, big_b), [0, Fraction(0)])
+    P = sum (alpha, delta) * Qtilde / factor. With the pairings as integer
+    numerators over common denominators (kd for kappa, cd for lambda, ed
+    for delta), each factor is g_alpha/(kd*cd) * (A + B*tau) with coprime
+    positive integers A, B; the roots of one pair (A, B) form a group g of
+    m_g roots. The integer product prod (A_g + B_g*tau)^m_g is one big
+    integer, its value at tau = 2^k (Kronecker substitution): its
+    coefficients are nonnegative and sum to prod (A_g + B_g)^m_g < 2^k, so
+    they unpack with no carries. Each quotient by A_g + B_g*tau comes from
+    exact integer synthetic division and enters P with the integer weight
+    w_g, the sum over the group of e_alpha * G/g_alpha, where e_alpha is the
+    numerator of (alpha, delta) and G = lcm g_alpha."""
+    curv, cd = _negative_curvature(fv, lam)
+    kah, kd = _pairings(fv, kahler_class_vector(fv, kappa))
+    ke, ed = _pairings(fv, fv.delta)
+    pairs = []
+    for k, c in zip(kah, curv):
+        big_a, big_b = k * cd, -c * kd
+        g = math.gcd(big_a, big_b)
+        pairs.append((g, big_a // g, big_b // g))
+    big_g = math.lcm(*(g for g, _, _ in pairs))
+    groups: dict[tuple[int, int], list[int]] = {}  # (A, B) -> [m_g, w_g]
+    for (g, big_a, big_b), e in zip(pairs, ke):
+        group = groups.setdefault((big_a, big_b), [0, 0])
         group[0] += 1
-        group[1] += ke[root] / c
+        group[1] += e * (big_g // g)
     bound = math.prod((a + b) ** m for (a, b), (m, _) in groups.items())
     shift = bound.bit_length()
     packed = math.prod((a + (b << shift)) ** m
                        for (a, b), (m, _) in groups.items())
     d = fv.dim_X
     q = [packed >> (shift * i) & ((1 << shift) - 1) for i in range(d + 1)]
-    den = math.lcm(*(w.denominator for _, w in groups.values()))
     p = [0] * d
-    for (a, b), (_, w) in groups.items():
-        weight = w.numerator * (den // w.denominator)
+    for (a, b), (_, weight) in groups.items():
         s = 0
         for i in range(d, 0, -1):
             s = (q[i] - a * s) // b  # coefficient i - 1 of q / (a + b*tau)
             p[i - 1] += weight * s
-    scale = content / den
-    return (Polynomial([content * x for x in q]),
-            Polynomial([scale * x for x in p]), d + 1)
+    # Qtilde = content * q, P = content * (kd*cd) / (ed*G) * p
+    content = Fraction(math.prod(g for g, _, _ in pairs), (kd * cd) ** d)
+    num, den = content.numerator, content.denominator
+    p_num, p_den = num * kd * cd, den * ed * big_g
+    return (Polynomial([Fraction(num * x, den) for x in q]),
+            Polynomial([Fraction(p_num * x, p_den) for x in p]), d + 1)
 
 
 def solve_profile(qtilde: Polynomial, p: Polynomial, c) -> MomentumProfile:
     """Integrate Phi'' = P - C*Qtilde twice with Phi(0) = 0,
     Phi'(0) = Qtilde(0); equivalent to phi(0) = 0, phi'(0) = 1."""
     c = Fraction(c)
-    second = p - c * qtilde
-    first = second.antiderivative(constant=qtilde(Fraction(0)))
-    phi_poly = first.antiderivative(constant=0)
+    q, pc = qtilde.coeffs, p.coeffs
+    # over one denominator: Phi_{i+2} = (cd*P_i - cn*Q_i)/(cd*den*(i+1)*(i+2))
+    den = math.lcm(*(x.denominator for x in q + pc))
+    q_int, p_int = ([x.numerator * (den // x.denominator) for x in f] for f in (q, pc))
+    second = [c.denominator * y - c.numerator * x
+              for x, y in itertools.zip_longest(q_int, p_int, fillvalue=0)]
+    den *= c.denominator
+    phi = [0, q[0] if q else 0]
+    phi += [Fraction(x, den * (i + 1) * (i + 2)) for i, x in enumerate(second)]
+    phi_poly = Polynomial(phi)
     return MomentumProfile(n=qtilde.degree + 1, qtilde=qtilde, p=p, c=c,
                            phi_poly=phi_poly)
 
@@ -132,9 +141,15 @@ def momentum_interval(profile: MomentumProfile,
                       width: Fraction = DEFAULT_ENCLOSURE_WIDTH) -> Interval:
     """[0, b): b = +inf for C <= 0, else the unique positive root of Phi,
     enclosed by Sturm-guided bisection to the requested width."""
-    if profile.c <= 0:
-        return Interval(finite=False)
     phi_poly = profile.phi_poly
+    if profile.c <= 0:
+        # Phi'' = P - C*Qtilde and Phi'(0) = Qtilde(0) > 0: with no negative
+        # coefficient, Phi > 0 on (0, inf)
+        if phi_poly.is_zero() or any(x.numerator < 0 for x in phi_poly.coeffs):
+            raise InternalInconsistency(
+                f"Phi is zero or has a negative coefficient at C = {profile.c}, "
+                "so Phi > 0 on (0, inf) is not certified")
+        return Interval(finite=False)
     bound = poly.root_upper_bound(phi_poly)
     seq = poly.sturm_sequence(phi_poly)
     count = poly.count_roots(phi_poly, Fraction(0), bound, seq)
@@ -190,10 +205,12 @@ def metric_index(fv: FlagVariety, lam: Sequence) -> Fraction:
     """i = (1/((n-1)n)) * sum (alpha, delta)/(alpha, -lambda); the leading
     coefficient of the scalar-flat profile. Raises NotSemiNegative unless
     lambda is strictly negative."""
-    curv = _negative_curvature(fv, lam)
-    ke = ke_coeffs(fv)
+    curv, cd = _negative_curvature(fv, lam)
+    ke, ed = _pairings(fv, fv.delta)
+    big_l = math.lcm(*curv)
+    total = sum(e * (big_l // -c) for e, c in zip(ke, curv))
     n = fv.dim_X + 1
-    return Fraction(1, (n - 1) * n) * sum(ke[r] / -curv[r] for r in curv)
+    return Fraction(cd * total, ed * big_l * (n - 1) * n)
 
 
 def classify_behavior(profile: MomentumProfile,
@@ -368,10 +385,11 @@ def numeric_oracle(qtilde: Polynomial, p: Polynomial, c, tau_max, step,
     with u(0) = 0, u'(0) = Q(0), in binary64; returns (taus, phi samples).
 
     The local error per step is estimated by step doubling on u and u';
-    if it exceeds error_bound * max(1, |u|, |u'|), StepTooLarge is raised
-    at the first such step. The bound is relative because u = Phi grows
-    like tau**(n+1). StepTooLarge is raised before any step, naming the
-    polynomial, when a coefficient of Q or P is beyond binary64.
+    if it exceeds error_bound * max(1, |u|, |u'|), or the state (u, u')
+    is not finite, StepTooLarge is raised at the first such step. The bound
+    is relative because u = Phi grows like tau**(n+1). StepTooLarge is
+    raised before any step, naming the polynomial, when a coefficient of Q
+    or P is beyond binary64.
 
     The forcing g = P - C*Q does not depend on u, so every stage of u' is
     known up front and the recurrence runs as prefix sums over whole
@@ -419,8 +437,15 @@ def numeric_oracle(qtilde: Polynomial, p: Polynomial, c, tau_max, step,
         bound = error_bound * np.fmax(np.fmax(1.0, np.abs(u1)), np.abs(v1))
         bad = (np.abs(u1 - u2) > bound) | (np.abs(v1 - v2) > bound)
         phis = np.r_[0.0, u1 / qtilde.eval_float(grid[1:])]
-    if bad.any():
-        i = int(bad.argmax())
+    # the prefix sums carry inf and NaN forward, so only a run whose last
+    # state is not finite looks for the first such state
+    lost = (np.zeros_like(bad) if math.isfinite(u[-1]) and math.isfinite(v[-1])
+            else ~(np.isfinite(u1) & np.isfinite(v1)))
+    if (bad | lost).any():
+        i = int((bad | lost).argmax())
+        if not bad[i]:
+            raise StepTooLarge(f"the state (u, u') is not finite at tau = "
+                               f"{grid[i + 1].item():.6g}")
         err = max(abs(u1[i] - u2[i]), abs(v1[i] - v2[i])).item()
         raise StepTooLarge(f"local error estimate {err:.3e} exceeds "
                            f"{bound[i].item():.3e} at tau = {grid[i].item():.6g}")

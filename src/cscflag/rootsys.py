@@ -8,6 +8,8 @@ inverting the Cartan matrix exactly.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -150,47 +152,47 @@ def _cartan_and_lengths(family: str, rank: int) -> tuple[list[list[int]], list[F
 
 
 def _enumerate_positive_roots(cartan: list[list[int]], rank: int) -> list[tuple[int, ...]]:
-    """Closure under simple-root addition, using root strings."""
-    roots = {tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)}
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for beta in frontier:
+    """Closure under simple-root addition, one height at a time. Each root
+    beta carries its pairings <beta, alpha_i^v> (a parent's plus row i of
+    the Cartan matrix) and its alpha_i-string depths p_i, the largest p with
+    beta - p*alpha_i a root: p_i(beta) = p_i(beta - alpha_i) + 1, and every
+    root beta - alpha_i of the height below adds alpha_i to reach beta."""
+    level = {tuple(int(j == i) for j in range(rank)): (cartan[i], [0] * rank)
+             for i in range(rank)}
+    roots = []
+    while level:
+        roots += level
+        below, level = level, {}
+        for beta, (pairing, depth) in below.items():
             for i in range(rank):
-                # alpha_i-string through beta: q = p - <beta, alpha_i^v>
-                pairing = sum(beta[k] * cartan[k][i] for k in range(rank))
-                p = 0
-                probe = list(beta)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in roots:
-                        break
-                    p += 1
-                if p - pairing >= 1:
-                    cand = list(beta)
-                    cand[i] += 1
-                    t = tuple(cand)
-                    if t not in roots:
-                        roots.add(t)
-                        new.append(t)
-        frontier = new
+                if depth[i] - pairing[i] >= 1:  # q = p - <beta, alpha_i^v>
+                    cand = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    entry = level.get(cand)
+                    if entry is None:
+                        entry = level[cand] = (
+                            [x + y for x, y in zip(pairing, cartan[i])], [0] * rank)
+                    entry[1][i] = depth[i] + 1
     return sorted(roots)
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+def _invert(matrix: list[list[int]]) -> list[list[Fraction]]:
+    """Inverse of an integer matrix whose leading principal minors are
+    positive, as a Cartan matrix's are: fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968), whose every division is
+    exact, leaves det * I beside det * A^-1."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    aug = [list(row) + [int(i == j) for j in range(n)]
            for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+    prev = 1
+    for k in range(n):
+        pivot_row, pv = aug[k], aug[k][k]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+            if r != k:
+                row, factor = aug[r], aug[r][k]
+                aug[r] = [(pv * x - factor * y) // prev
+                          for x, y in zip(row, pivot_row)]
+        prev = pv
+    return [[Fraction(x, prev) for x in row[n:]] for row in aug]
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def build_root_system(spec: LieTypeSpec) -> RootSystem:
             roots.append(tuple(full))
         slices.append((offset, offset + r))
         offset += r
-    cartan_inv = _invert([[Fraction(x) for x in row] for row in cartan])
+    cartan_inv = _invert(cartan)
     # row j of the Cartan inverse gives omega_j in simple-root coordinates
     fweights = tuple(tuple(row) for row in cartan_inv)
     return RootSystem(
@@ -263,10 +265,13 @@ def to_root_coords(rs: RootSystem, v: WeightVector) -> tuple[Fraction, ...]:
     _check_dim(rs, v)
     if v.basis is Basis.SIMPLE_ROOT:
         return v.coords
-    # v = sum m_j omega_j, coords = m . A^{-1}
+    # v = sum m_j omega_j, coords = m . A^{-1}, in integers over den**2
     inv = rs.cartan_inverse
-    return tuple(sum(v.coords[j] * inv[j][i] for j in range(rs.rank))
-                 for i in range(rs.rank))
+    den = math.lcm(*(x.denominator for row in (v.coords, *inv) for x in row))
+    m, *rows = [[x.numerator * (den // x.denominator) for x in row]
+                for row in (v.coords, *inv)]
+    return tuple(Fraction(sum(map(operator.mul, m, col)), den * den)
+                 for col in zip(*rows))
 
 
 def convert(rs: RootSystem, v: WeightVector, target: Basis) -> WeightVector:

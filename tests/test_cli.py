@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -187,6 +188,11 @@ class TestEmit:
         data = emit({"x": 0.1})
         assert data == b'{"x":0.10000000000000001}\n'
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_refuses_non_finite_floats(self, value):
+        with pytest.raises(ValueError, match="not a JSON number"):
+            emit({"x": value})
+
     def test_csv(self):
         spec = job_of(o1_job(options={
             "emit_samples": True, "sample_count": 4, "tau_max": 4}))
@@ -357,6 +363,44 @@ class TestMain:
         assert out == ""
         assert err == ("oracle error: a coefficient of Qtilde is beyond "
                        "binary64, so the oracle cannot evaluate it\n")
+
+    @pytest.mark.parametrize("kappa,tau", [(40, "6.952"), (37, "9.952")])
+    def test_state_not_finite_exit_5(self, tmp_path, capfd, kappa, tau):
+        # the oracle's u and u' overflow on the E8 full flag at C = -1; the
+        # report printed max_abs_deviation nan (kappa 40) or inf (37)
+        job = {"lie_type": "E8", "pi_prime": [], "lambda": [-1] * 8,
+               "kappa": [kappa] * 8, "scalar_curvature": -1}
+        assert main([self.write(tmp_path, job)]) == EXIT_ORACLE
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == f"oracle error: the state (u, u') is not finite at tau = {tau}\n"
+
+    @pytest.mark.parametrize("options,path", [
+        ({"find_smooth_c": ["2", "1"]}, "find_smooth_c"),
+        ({"find_smooth_c": ["0", "1"]}, "find_smooth_c"),
+        ({"emit_samples": True, "tau0": "-1"}, "tau0"),
+        ({"emit_samples": True, "tau0": 0}, "tau0"),
+    ])
+    def test_search_range_and_tau0_exit_2(self, tmp_path, capfd, monkeypatch,
+                                          options, path):
+        # job-file mistakes, rejected at parse time: no job runs
+        def no_work(*args):
+            raise AssertionError("a job ran")
+        monkeypatch.setattr(cli, "_run_jobs", no_work)
+        job = a2_job(scalar_curvature=1, options=options)
+        assert main([self.write(tmp_path, job)]) == EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: $.options.{path}: ")
+
+    def test_tau0_beyond_b_fails_at_run_time(self, tmp_path, capfd):
+        # b is known only once the interval is certified
+        job = a2_job(scalar_curvature=1,
+                     options={"emit_samples": True, "tau0": 100})
+        assert main([self.write(tmp_path, job)]) == EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert err == "error: point 100 outside the interval interior\n"
 
     def test_schema_error_survives_a_batch_worker(self):
         # errors raised in a --jobs N worker are pickled to the parent

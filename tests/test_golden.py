@@ -1,7 +1,8 @@
 """Golden reports: ``emit(run(spec))`` for a few small jobs that together
 reach every branch of the report: C < 0, C = 0 in invariant-field cases A
 and B, C > 0 with a smooth-C search, C > 0 with samples and an explicit
-tau0, and a two-job batch.
+tau0, and a two-job batch; plus two large full flags whose exact data is
+wide: E7 with uniform weights at C < 0 and E6 with generic ones at C = 0.
 
 Every byte must match, except the sample values t, s, f and r: they come
 from numpy's quadrature and follow the LAPACK build, so they are compared
@@ -45,6 +46,12 @@ JOBS = {
          "scalar_curvature": 1},
         {"lie_type": "A2", "pi_prime": [2], "lambda": [-2],
          "kappa": ["3/2"], "scalar_curvature": -1}],
+    "e7_uniform_negative_c": {
+        "lie_type": "E7", "pi_prime": [], "lambda": [-1] * 7, "kappa": [1] * 7,
+        "scalar_curvature": -1},
+    "e6_generic_scalar_flat": {
+        "lie_type": "E6", "pi_prime": [], "lambda": [-1, -2, -1, -3, -1, -2],
+        "kappa": [1, "3/2", 2, "1/2", 1, "5/2"], "scalar_curvature": 0},
 }
 
 # a sample's quadrature values; no other report key is one letter long

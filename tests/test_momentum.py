@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cscflag import (BehaviorReport, ConicalExpansion, GridOutOfInterval,
-                     InvalidRange, NotSemiNegative, Polynomial, StepTooLarge,
-                     WrongCase, asymptotics, build_flag, build_profile_inputs,
-                     build_root_system, classify_behavior, conical_expansion,
+                     InternalInconsistency, InvalidRange, NotSemiNegative,
+                     Polynomial, StepTooLarge, WrongCase, asymptotics,
+                     build_flag, build_profile_inputs, build_root_system,
+                     classify_behavior, conical_expansion,
                      fiber_maps, find_smooth_C, metric_index,
                      momentum_interval, numeric_oracle, parse_lie_type,
                      solve_profile, with_gram_scaled)
@@ -136,6 +137,15 @@ class TestMomentumInterval:
         for c in (0, -3):
             interval = momentum_interval(solve_profile(qtilde, p, c))
             assert not interval.finite
+
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_infinite_interval_is_certified(self, c):
+        # a hand-built P < 0 gives Phi = tau - 2*tau^2 (C = 0) or
+        # tau - 3/2*tau^2 (C = -1), which vanishes inside (0, inf)
+        profile = solve_profile(Polynomial([1]), Polynomial([-4]), c)
+        assert min(profile.phi_poly.coeffs) < 0
+        with pytest.raises(InternalInconsistency, match="negative coefficient"):
+            momentum_interval(profile)
 
     def test_sqrt3_enclosure(self):
         profile = solve_profile(Polynomial([1, 1]), Polynomial([2]), 2)
@@ -464,18 +474,20 @@ class TestNumericOracle:
         assert str(got.value).endswith("at tau = 0.7")
 
     def test_forcing_overflow_emits_no_warning(self):
-        # u = 1e300*(tau + tau^10/90): the stage sums of u leave binary64
-        # at tau = 8.62 and the forcing near 17.8; the states turn inf and
-        # NaN, which the error test lets through, as a step-by-step loop does
+        # u = 1e300*(tau + tau^10/90): the stage sum of u' leaves binary64
+        # on the step that ends at tau = 8.61, and the states turn inf and
+        # NaN after it; the error test lets them through, the finiteness
+        # test names that step, as a step-by-step loop does
         big = 10 ** 300
         qtilde, p = Polynomial([big]), Polynomial([0] * 8 + [big])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            taus, phis = numeric_oracle(qtilde, p, 0, 20, F(1, 100))
-        ref_taus, ref_phis = _reference_oracle(qtilde, p, 0, 20, F(1, 100))
-        assert taus == ref_taus
-        np.testing.assert_array_equal(phis, ref_phis)
-        assert math.isfinite(phis[861]) and phis[862] == phis[-1] == math.inf
+            with pytest.raises(StepTooLarge) as got:
+                numeric_oracle(qtilde, p, 0, 20, F(1, 100))
+        with pytest.raises(StepTooLarge) as want:
+            _reference_oracle(qtilde, p, 0, 20, F(1, 100))
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "the state (u, u') is not finite at tau = 8.61"
 
     def test_forcing_evaluations_do_not_grow_with_the_steps(self, monkeypatch):
         # the forcing is evaluated on whole arrays, never once per step
@@ -536,6 +548,8 @@ def _reference_oracle(qtilde, p, c, tau_max, step, error_bound=1e-6):
                 f"local error estimate {max(abs(u1 - u2), abs(v1 - v2)):.3e} "
                 f"exceeds {bound:.3e} at tau = {t:.6g}")
         t, u, v = t + h, u1, v1
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise StepTooLarge(f"the state (u, u') is not finite at tau = {t:.6g}")
         taus.append(t)
         phis.append(u / qtilde.eval_float(t))
     return taus, phis
